@@ -83,7 +83,9 @@ func controlStudy(b *testing.B, proto experiment.Proto, wifi bool) *experiment.C
 		scn.TuneControlTimeouts(18 * time.Second)
 		return scn
 	}
-	res, err := experiment.RunControlStudySeeds(build, proto, opts, []uint64{1, 2})
+	res, err := experiment.Replicate(experiment.Replicator{Workers: 1}, []uint64{1, 2}, func(seed uint64) (*experiment.ControlResult, error) {
+		return experiment.RunControlStudy(build(seed), proto, opts)
+	}, experiment.MergeControlResults)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,18 +326,19 @@ func BenchmarkReplicationSpeedup(b *testing.B) {
 	opts.Packets = 5
 	opts.Interval = 16 * time.Second
 	seeds := experiment.DeriveSeeds(1, 8)
+	run := func(seed uint64) (*experiment.ControlResult, error) {
+		return experiment.RunControlStudy(benchLineScenario(seed), experiment.ProtoTele, opts)
+	}
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		serial, err := experiment.Replicator{Workers: 1}.ControlStudy(
-			benchLineScenario, experiment.ProtoTele, opts, seeds)
+		serial, err := experiment.Replicate(experiment.Replicator{Workers: 1}, seeds, run, experiment.MergeControlResults)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serialDur := time.Since(t0)
 
 		t1 := time.Now()
-		par, err := experiment.Replicator{}.ControlStudy(
-			benchLineScenario, experiment.ProtoTele, opts, seeds)
+		par, err := experiment.Replicate(experiment.Replicator{}, seeds, run, experiment.MergeControlResults)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,8 +377,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			o.Trace = trace
 			var events int
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.Replicator{Workers: 1}.ControlStudy(
-					benchLineScenario, experiment.ProtoTele, o, seeds)
+				res, err := experiment.Replicate(experiment.Replicator{Workers: 1}, seeds, func(seed uint64) (*experiment.ControlResult, error) {
+					return experiment.RunControlStudy(benchLineScenario(seed), experiment.ProtoTele, o)
+				}, experiment.MergeControlResults)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -483,7 +487,7 @@ func BenchmarkAblationWakeInterval(b *testing.B) {
 				scn.Tele.AllocDelay = 10 * wi
 				return scn
 			}
-			res, err := experiment.RunControlStudySeeds(build, experiment.ProtoTele, opts, []uint64{1})
+			res, err := experiment.RunControlStudy(build(1), experiment.ProtoTele, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -510,7 +514,7 @@ func BenchmarkAblationFeedbackIntercept(b *testing.B) {
 				scn.Tele.FeedbackIntercept = intercept
 				return scn
 			}
-			res, err := experiment.RunControlStudySeeds(build, experiment.ProtoTele, opts, []uint64{1})
+			res, err := experiment.RunControlStudy(build(1), experiment.ProtoTele, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -133,7 +134,8 @@ func runFig6(s settings) error {
 			return err
 		}
 		experiment.WriteCodingReport(os.Stdout, res)
-		if err := writeCodingCSV(s, res); err != nil {
+		err = writeCSV(s, "coding_"+res.Scenario+".csv", func(w io.Writer) error { return experiment.WriteCodingCSV(w, res) })
+		if err != nil {
 			return err
 		}
 		fmt.Println()
@@ -141,31 +143,20 @@ func runFig6(s settings) error {
 	return nil
 }
 
-// writeCodingCSV exports a coding study when -csv is set.
-func writeCodingCSV(s settings, res *experiment.CodingResult) error {
+// writeCSV exports one study table into the -csv directory when set.
+func writeCSV(s settings, name string, write func(w io.Writer) error) error {
 	if s.csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(s.csvDir, "coding_"+res.Scenario+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiment.WriteCodingCSV(f, res)
-}
-
-// writeControlCSV exports a control study when -csv is set.
-func writeControlCSV(s settings, res *experiment.ControlResult) error {
-	if s.csvDir == "" {
-		return nil
-	}
-	name := fmt.Sprintf("control_%s_%s.csv", res.Scenario, res.Proto)
 	f, err := os.Create(filepath.Join(s.csvDir, name))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return experiment.WriteControlCSV(f, res)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runTable2 regenerates the indoor code-length table.
@@ -209,13 +200,17 @@ func runComparison(s settings, wifi bool) error {
 		experiment.ProtoDrip,
 		experiment.ProtoRPL,
 	} {
-		res, err := rep.ControlStudy(build, proto, opts, seeds)
+		res, err := experiment.Replicate(rep, seeds, func(seed uint64) (*experiment.ControlResult, error) {
+			return experiment.RunControlStudy(build(seed), proto, opts)
+		}, experiment.MergeControlResults)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
 		experiment.WriteControlReport(os.Stdout, res)
-		if err := writeControlCSV(s, res); err != nil {
+		name := fmt.Sprintf("control_%s_%s.csv", res.Scenario, res.Proto)
+		err = writeCSV(s, name, func(w io.Writer) error { return experiment.WriteControlCSV(w, res) })
+		if err != nil {
 			return err
 		}
 		fmt.Println()
@@ -276,7 +271,7 @@ func runAblation(s settings) error {
 	}
 	var results []*experiment.ControlResult
 	for _, proto := range []experiment.Proto{experiment.ProtoTele, experiment.ProtoTeleStrict} {
-		res, err := experiment.RunControlStudySeeds(build, proto, opts, []uint64{s.seed})
+		res, err := experiment.RunControlStudy(build(s.seed), proto, opts)
 		if err != nil {
 			return err
 		}
@@ -329,15 +324,19 @@ func runReplication(s settings) error {
 	}
 	fmt.Printf("--- Replication runner: %d replications, 1 vs %d workers ---\n", s.reps, workers)
 
+	run := func(seed uint64) (*experiment.ControlResult, error) {
+		return experiment.RunControlStudy(build(seed), experiment.ProtoTele, opts)
+	}
+
 	t0 := time.Now()
-	serial, err := experiment.Replicator{Workers: 1}.ControlStudy(build, experiment.ProtoTele, opts, seeds)
+	serial, err := experiment.Replicate(experiment.Replicator{Workers: 1}, seeds, run, experiment.MergeControlResults)
 	if err != nil {
 		return err
 	}
 	serialDur := time.Since(t0)
 
 	t1 := time.Now()
-	par, err := experiment.Replicator{Workers: workers}.ControlStudy(build, experiment.ProtoTele, opts, seeds)
+	par, err := experiment.Replicate(experiment.Replicator{Workers: workers}, seeds, run, experiment.MergeControlResults)
 	if err != nil {
 		return err
 	}

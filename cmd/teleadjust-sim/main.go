@@ -53,7 +53,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -67,21 +69,8 @@ import (
 	"teleadjust/internal/telemetry"
 )
 
-// writeTrace exports the collected event stream as JSONL.
-func writeTrace(path string, events []telemetry.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteJSONL(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// cliConfig carries every parsed flag; validate checks the mutually
-// dependent combinations before any simulation work starts.
+// cliConfig carries every parsed flag, plus what run resolves from them
+// once validate has checked the mutually dependent combinations.
 type cliConfig struct {
 	scenario string
 	study    string
@@ -131,173 +120,53 @@ type cliConfig struct {
 	queueDepth  int
 	highWater   int
 	shed        string
+
+	// Resolved by run: the protocol, the loaded fault plan, and the -svg
+	// hook that receives every network the study builds.
+	protocol  experiment.Proto
+	faultPlan *fault.Plan
+	onNet     func(*experiment.Net)
 }
 
-// validate fails fast on flag combinations that would otherwise be
-// silently ignored or crash mid-run.
-func (c *cliConfig) validate() error {
-	if c.reps < 1 {
-		return fmt.Errorf("-reps must be >= 1")
-	}
-	if c.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0")
-	}
-	if c.parallel > 0 && c.reps == 1 {
-		return fmt.Errorf("-parallel only applies to replicated runs: combine it with -reps > 1")
-	}
-	if c.reps > 1 && c.svg != "" {
-		// The SVG hook instruments one network instance; with concurrent
-		// replications there is no single network to tap. The telemetry
-		// trace has no such restriction: each replication collects on its
-		// own bus and the merge is deterministic in seed order.
-		return fmt.Errorf("-svg requires -reps 1")
-	}
-	if c.packets < 1 {
-		return fmt.Errorf("-packets must be >= 1")
-	}
-	if c.interval <= 0 {
-		return fmt.Errorf("-interval must be positive")
-	}
-	if c.dur <= 0 {
-		return fmt.Errorf("-dur must be positive")
-	}
-	if c.warmup < 0 {
-		return fmt.Errorf("-warmup must be >= 0")
-	}
-	throughput := c.study == "throughput"
-	schemes := c.study == "coding-schemes"
-	service := c.study == "service"
-	if !service {
-		for _, sf := range []struct {
-			name string
-			set  bool
-		}{
-			{"-batch-window", c.batchWindow >= 0},
-			{"-batch-bits", c.batchBits >= 0},
-			{"-max-batch", c.maxBatch >= 0},
-			{"-cache-ttl", c.cacheTTL >= 0},
-			{"-cache-cap", c.cacheCap >= 0},
-			{"-queue-depth", c.queueDepth >= 0},
-			{"-high-water", c.highWater >= 0},
-			{"-shed", c.shed != ""},
-		} {
-			if sf.set {
-				return fmt.Errorf("%s applies to command-service studies only (-study service)", sf.name)
+// study is one -study choice.
+type study struct {
+	// accepts lists the study-specific flags (see validate) it honours.
+	accepts string
+	// replicates: -reps > 1 merges replications over consecutive seeds.
+	replicates bool
+	// scenarios: -scenario may list several comma-separated scenarios.
+	scenarios bool
+	// check validates the study's own flag combinations (nil: none).
+	check func(c *cliConfig) error
+	// run executes the study and hands its results to the shared writer.
+	run func(c *cliConfig) (*output, error)
+}
+
+// loadFlags are the flags the throughput and service studies share.
+const loadFlags = " -codec -trace -rates -ops -dist -window -csv"
+
+// studies is the -study table. Only coding and control accept -svg: the
+// others build several networks, so no single topology represents the run.
+var studies = map[string]study{
+	"coding":  {accepts: "-codec -svg", replicates: true, run: runCoding},
+	"control": {accepts: "-codec -svg -trace -trace-op -progress -convergence", replicates: true, run: runControl},
+	"scope":   {accepts: "-codec", run: runScope},
+	"throughput": {accepts: "-workload -conc" + loadFlags, replicates: true,
+		check: checkLoopMode, run: runThroughput},
+	"service": {accepts: "-batch-window -batch-bits -max-batch -cache-ttl -cache-cap -queue-depth -high-water -shed" + loadFlags,
+		replicates: true, run: runService},
+	"coding-schemes": {accepts: "-codecs -joins -csv", replicates: true, scenarios: true,
+		check: func(c *cliConfig) error {
+			if c.codec != "" {
+				return fmt.Errorf("-codec conflicts with -study coding-schemes: use -codecs to pick the compared schemes")
 			}
-		}
-	}
-	if c.trace != "" && c.study != "control" && !throughput && !service {
-		return fmt.Errorf("-trace applies to control, throughput, and service studies only")
-	}
-	if c.traceOp >= 0 && c.study != "control" {
-		return fmt.Errorf("-trace-op applies to control studies only")
-	}
-	if c.progress < 0 {
-		return fmt.Errorf("-progress must be a positive period")
-	}
-	if c.progress > 0 && c.study != "control" {
-		return fmt.Errorf("-progress applies to control studies only")
-	}
-	if c.progress > 0 && c.reps > 1 {
-		// Replications run concurrently on the worker pool; their live
-		// lines would interleave nondeterministically. The merged
-		// -convergence report has no such restriction.
-		return fmt.Errorf("-progress requires -reps 1")
-	}
-	if c.convergence != "" && c.study != "control" {
-		return fmt.Errorf("-convergence applies to control studies only")
-	}
-	if c.traceSample < 0 {
-		return fmt.Errorf("-trace-sample must be >= 1 (export every 1-in-N operation)")
-	}
-	if c.traceSample > 0 && c.trace == "" {
-		return fmt.Errorf("-trace-sample requires -trace")
-	}
-	if c.codec != "" {
-		if schemes {
-			return fmt.Errorf("-codec conflicts with -study coding-schemes: use -codecs to pick the compared schemes")
-		}
-		if _, err := core.CodecByName(c.codec); err != nil {
-			return err
-		}
-		if c.proto == "drip" || c.proto == "rpl" {
-			return fmt.Errorf("-codec applies to TeleAdjusting variants only, not -proto %s", c.proto)
-		}
-	}
-	if c.codecs != "" && !schemes {
-		return fmt.Errorf("-codecs applies to coding-schemes studies only (-study coding-schemes)")
-	}
-	if c.joins >= 0 && !schemes {
-		return fmt.Errorf("-joins applies to coding-schemes studies only (-study coding-schemes)")
-	}
-	if c.joins < -1 { // -1 is the unset default
-		return fmt.Errorf("-joins must be >= 0")
-	}
-	if schemes {
-		for _, name := range splitList(c.codecs) {
-			if _, err := core.CodecByName(name); err != nil {
-				return err
-			}
-		}
-		if c.svg != "" {
-			// The study builds one network per (scenario, codec) cell; no
-			// single topology represents the run.
-			return fmt.Errorf("-svg does not apply to coding-schemes studies")
-		}
-		return nil
-	}
-	if service {
-		if c.workload != "" {
-			return fmt.Errorf("-workload does not apply to service studies: the command service is always driven open-loop")
-		}
-		if c.conc != "" {
-			return fmt.Errorf("-conc does not apply to service studies: sweep offered load with -rates instead")
-		}
-		switch c.shed {
-		case "", "reject", "delay":
-		default:
-			return fmt.Errorf("unknown -shed policy %q: reject or delay", c.shed)
-		}
-		if c.batchBits > 56 {
-			return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
-		}
-		if c.maxBatch >= 0 && (c.maxBatch < 2 || c.maxBatch > core.MaxBatchMembers) {
-			return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
-		}
-		if c.queueDepth > 0 && c.highWater > c.queueDepth {
-			return fmt.Errorf("-high-water must not exceed -queue-depth: the hard bound would shed before the soft one engages")
-		}
-		if c.ops < 0 {
-			return fmt.Errorf("-ops must be >= 1")
-		}
-		if c.window < 0 {
-			return fmt.Errorf("-window must be >= 1")
-		}
-		return nil
-	}
-	if !throughput {
-		for flagName, set := range map[string]bool{
-			"-workload": c.workload != "",
-			"-rates":    c.rates != "",
-			"-conc":     c.conc != "",
-			"-ops":      c.ops != 0,
-			"-dist":     c.dist != "",
-			"-window":   c.window != 0,
-			"-csv":      c.csv != "",
-		} {
-			if set {
-				switch flagName {
-				case "-csv":
-					return fmt.Errorf("-csv applies to throughput, service, and coding-schemes studies only")
-				case "-workload", "-conc":
-					return fmt.Errorf("%s applies to throughput studies only (-study throughput)", flagName)
-				default:
-					return fmt.Errorf("%s applies to throughput and service studies only", flagName)
-				}
-			}
-		}
-		return nil
-	}
+			return nil
+		}, run: runCodingSchemes},
+}
+
+// checkLoopMode validates the throughput study's loop discipline against
+// the swept knob.
+func checkLoopMode(c *cliConfig) error {
 	switch c.workload {
 	case "", "closed":
 		if c.rates != "" {
@@ -313,11 +182,155 @@ func (c *cliConfig) validate() error {
 	default:
 		return fmt.Errorf("unknown workload mode %q: closed or open", c.workload)
 	}
+	return nil
+}
+
+// validate fails fast on flag combinations that would otherwise be
+// silently ignored or crash mid-run, before any profile capture or
+// simulation work starts.
+func (c *cliConfig) validate() error {
+	if c.reps < 1 {
+		return fmt.Errorf("-reps must be >= 1")
+	}
+	if c.parallel < 0 {
+		return fmt.Errorf("-parallel must be >= 0")
+	}
+	if c.parallel > 0 && c.reps == 1 {
+		return fmt.Errorf("-parallel only applies to replicated runs: combine it with -reps > 1")
+	}
+	if c.packets < 1 {
+		return fmt.Errorf("-packets must be >= 1")
+	}
+	if c.interval <= 0 {
+		return fmt.Errorf("-interval must be positive")
+	}
+	if c.dur <= 0 {
+		return fmt.Errorf("-dur must be positive")
+	}
+	if c.warmup < 0 {
+		return fmt.Errorf("-warmup must be >= 0")
+	}
+	if c.progress < 0 {
+		return fmt.Errorf("-progress must be a positive period")
+	}
+	if c.traceSample < 0 {
+		return fmt.Errorf("-trace-sample must be >= 1 (export every 1-in-N operation)")
+	}
+	if c.joins < -1 { // -1 is the unset default
+		return fmt.Errorf("-joins must be >= 0")
+	}
 	if c.ops < 0 {
 		return fmt.Errorf("-ops must be >= 1")
 	}
 	if c.window < 0 {
 		return fmt.Errorf("-window must be >= 1")
+	}
+
+	st, ok := studies[c.study]
+	if !ok {
+		return fmt.Errorf("unknown study %q", c.study)
+	}
+	scenarios := []string{c.scenario}
+	if st.scenarios {
+		scenarios = splitList(c.scenario)
+	}
+	if len(scenarios) == 0 {
+		return fmt.Errorf("-scenario must name at least one scenario")
+	}
+	for _, name := range scenarios {
+		if _, err := pickScenario(name, c.seed); err != nil {
+			return err
+		}
+	}
+	if _, err := pickProto(c.proto); err != nil {
+		return err
+	}
+	if st.check != nil {
+		if err := st.check(c); err != nil {
+			return err
+		}
+	}
+	accepts := strings.Fields(st.accepts)
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-codec", c.codec != ""},
+		{"-codecs", c.codecs != ""},
+		{"-joins", c.joins >= 0},
+		{"-svg", c.svg != ""},
+		{"-trace", c.trace != ""},
+		{"-trace-op", c.traceOp >= 0},
+		{"-progress", c.progress > 0},
+		{"-convergence", c.convergence != ""},
+		{"-workload", c.workload != ""},
+		{"-conc", c.conc != ""},
+		{"-rates", c.rates != ""},
+		{"-ops", c.ops != 0},
+		{"-dist", c.dist != ""},
+		{"-window", c.window != 0},
+		{"-csv", c.csv != ""},
+		{"-batch-window", c.batchWindow >= 0},
+		{"-batch-bits", c.batchBits >= 0},
+		{"-max-batch", c.maxBatch >= 0},
+		{"-cache-ttl", c.cacheTTL >= 0},
+		{"-cache-cap", c.cacheCap >= 0},
+		{"-queue-depth", c.queueDepth >= 0},
+		{"-high-water", c.highWater >= 0},
+		{"-shed", c.shed != ""},
+	} {
+		if f.set && !slices.Contains(accepts, f.name) {
+			return fmt.Errorf("%s does not apply to -study %s", f.name, c.study)
+		}
+	}
+	if c.reps > 1 {
+		if !st.replicates {
+			return fmt.Errorf("the %s study does not support -reps", c.study)
+		}
+		if c.svg != "" {
+			// The SVG hook instruments one network instance; with
+			// concurrent replications there is no single network to tap.
+			// The telemetry trace has no such restriction: each
+			// replication collects on its own bus and the merge is
+			// deterministic in seed order.
+			return fmt.Errorf("-svg requires -reps 1")
+		}
+		if c.progress > 0 {
+			// Replications run concurrently on the worker pool; their live
+			// lines would interleave nondeterministically. The merged
+			// -convergence report has no such restriction.
+			return fmt.Errorf("-progress requires -reps 1")
+		}
+	}
+	if c.traceSample > 0 && c.trace == "" {
+		return fmt.Errorf("-trace-sample requires -trace")
+	}
+	if c.codec != "" {
+		if _, err := core.CodecByName(c.codec); err != nil {
+			return err
+		}
+		if c.proto == "drip" || c.proto == "rpl" {
+			return fmt.Errorf("-codec applies to TeleAdjusting variants only, not -proto %s", c.proto)
+		}
+	}
+	for _, name := range splitList(c.codecs) {
+		if _, err := core.CodecByName(name); err != nil {
+			return err
+		}
+	}
+	switch c.shed {
+	case "", "reject", "delay":
+	default:
+		return fmt.Errorf("unknown -shed policy %q: reject or delay", c.shed)
+	}
+	if c.batchBits > 56 {
+		return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
+	}
+	if c.maxBatch >= 0 && (c.maxBatch < 2 || c.maxBatch > core.MaxBatchMembers) {
+		return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
+	}
+	if c.queueDepth > 0 && c.highWater > c.queueDepth {
+		return fmt.Errorf("-high-water must not exceed -queue-depth: the hard bound would shed before the soft one engages")
 	}
 	return nil
 }
@@ -359,71 +372,58 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-// serviceOpts assembles command-service study options from validated
-// flags; -1 sentinels keep the study defaults, explicit zeros disable.
-func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
-	opts := experiment.DefaultServiceOpts()
-	opts.Warmup = c.warmup
-	opts.Trace = c.trace != ""
+// loadOpts applies the flags the throughput and service studies share.
+func (c *cliConfig) loadOpts(o *experiment.LoadOpts) error {
+	o.Warmup = c.warmup
+	o.Trace = c.trace != ""
 	if c.ops > 0 {
-		opts.Ops = c.ops
+		o.Ops = c.ops
 	}
 	if c.dist != "" {
-		opts.Dist = c.dist
+		o.Dist = c.dist
 	}
 	if c.window > 0 {
-		opts.Window = c.window
+		o.Window = c.window
 	}
 	if c.rates != "" {
 		rates, err := parseRates(c.rates)
 		if err != nil {
-			return opts, err
+			return err
 		}
-		opts.Rates = rates
+		o.Rates = rates
 	}
-	if c.batchWindow >= 0 {
-		opts.BatchWindow = c.batchWindow
+	return nil
+}
+
+// override sets *dst to a flag value unless it holds the -1 unset sentinel.
+func override[T int | time.Duration](dst *T, v T) {
+	if v >= 0 {
+		*dst = v
 	}
-	if c.batchBits >= 0 {
-		opts.BatchBits = c.batchBits
-	}
-	if c.maxBatch >= 0 {
-		opts.MaxBatch = c.maxBatch
-	}
-	if c.cacheTTL >= 0 {
-		opts.CacheTTL = c.cacheTTL
-	}
-	if c.cacheCap >= 0 {
-		opts.CacheCap = c.cacheCap
-	}
-	if c.queueDepth >= 0 {
-		opts.QueueDepth = c.queueDepth
-	}
-	if c.highWater >= 0 {
-		opts.HighWater = c.highWater
-	}
+}
+
+// serviceOpts assembles command-service study options from validated
+// flags; -1 sentinels keep the study defaults, explicit zeros disable.
+func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
+	opts := experiment.DefaultServiceOpts()
+	override(&opts.BatchWindow, c.batchWindow)
+	override(&opts.BatchBits, c.batchBits)
+	override(&opts.MaxBatch, c.maxBatch)
+	override(&opts.CacheTTL, c.cacheTTL)
+	override(&opts.CacheCap, c.cacheCap)
+	override(&opts.QueueDepth, c.queueDepth)
+	override(&opts.HighWater, c.highWater)
 	if c.shed != "" {
 		opts.Policy = c.shed
 	}
-	return opts, nil
+	return opts, c.loadOpts(&opts.LoadOpts)
 }
 
 // throughputOpts assembles the study options from validated flags.
 func (c *cliConfig) throughputOpts() (experiment.ThroughputOpts, error) {
 	opts := experiment.DefaultThroughputOpts()
-	opts.Warmup = c.warmup
-	opts.Trace = c.trace != ""
 	if c.workload != "" {
 		opts.Mode = c.workload
-	}
-	if c.ops > 0 {
-		opts.Ops = c.ops
-	}
-	if c.dist != "" {
-		opts.Dist = c.dist
-	}
-	if c.window > 0 {
-		opts.Window = c.window
 	}
 	if c.conc != "" {
 		levels, err := parseConcurrency(c.conc)
@@ -432,14 +432,7 @@ func (c *cliConfig) throughputOpts() (experiment.ThroughputOpts, error) {
 		}
 		opts.Concurrency = levels
 	}
-	if c.rates != "" {
-		rates, err := parseRates(c.rates)
-		if err != nil {
-			return opts, err
-		}
-		opts.Rates = rates
-	}
-	return opts, nil
+	return opts, c.loadOpts(&opts.LoadOpts)
 }
 
 func main() {
@@ -464,7 +457,7 @@ func run() (retErr error) {
 	flag.Uint64Var(&c.seed, "seed", 1, "simulation seed")
 	flag.IntVar(&c.reps, "reps", 1, "independent replications over consecutive seeds")
 	flag.IntVar(&c.parallel, "parallel", 0, "replication workers (0 = GOMAXPROCS; requires -reps > 1)")
-	flag.StringVar(&c.trace, "trace", "", "write the telemetry event stream as JSONL to this file (control/throughput study)")
+	flag.StringVar(&c.trace, "trace", "", "write the telemetry event stream as JSONL to this file (control, throughput, service study)")
 	flag.IntVar(&c.traceOp, "trace-op", -1, "render operation span traces for this destination node (control study)")
 	flag.DurationVar(&c.progress, "progress", 0, "print a live windowed convergence/throughput line at this period (control study, -reps 1)")
 	flag.StringVar(&c.convergence, "convergence", "", "write the windowed convergence report to this file (control study)")
@@ -505,238 +498,209 @@ func run() (retErr error) {
 		}
 	}()
 
-	var plan *fault.Plan
+	c.protocol, _ = pickProto(c.proto) // checked by validate
 	if c.plan != "" {
-		p, err := fault.LoadPlan(c.plan)
-		if err != nil {
+		if c.faultPlan, err = fault.LoadPlan(c.plan); err != nil {
 			return err
 		}
-		plan = p
 	}
-	if c.study == "coding-schemes" {
-		return runCodingSchemes(&c, plan)
+	var built *experiment.Net
+	if c.svg != "" {
+		c.onNet = func(net *experiment.Net) { built = net }
 	}
-	scn, err := pickScenario(c.scenario, c.seed)
+	out, err := studies[c.study].run(&c)
 	if err != nil {
 		return err
 	}
-	scn.Fault = plan
-	scn.Codec = c.codec
-	var builtNet *experiment.Net
-	prevHook := scn.OnNetBuilt
-	scn.OnNetBuilt = func(net *experiment.Net) {
-		builtNet = net
-		if prevHook != nil {
-			prevHook(net)
-		}
+	if err := c.write(out); err != nil {
+		return err
 	}
-	if c.svg != "" {
-		defer func() {
-			if builtNet == nil {
-				return
-			}
-			f, err := os.Create(c.svg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "svg:", err)
-				return
-			}
-			defer f.Close()
-			if err := builtNet.WriteTopologySVG(f); err != nil {
-				fmt.Fprintln(os.Stderr, "svg:", err)
-				return
-			}
-			fmt.Printf("topology SVG written to %s\n", c.svg)
-		}()
-	}
-
-	seeds := make([]uint64, c.reps)
-	for i := range seeds {
-		seeds[i] = c.seed + uint64(i)
-	}
-	build := func(s uint64) experiment.Scenario {
-		b, _ := pickScenario(c.scenario, s)
-		b.Fault = plan
-		b.Codec = c.codec
-		return b
-	}
-	rep := experiment.Replicator{Workers: c.parallel}
-
-	switch c.study {
-	case "coding":
-		if c.reps == 1 {
-			res, err := experiment.RunCodingStudy(scn, c.dur)
-			if err != nil {
-				return err
-			}
-			experiment.WriteCodingReport(os.Stdout, res)
-			return nil
-		}
-		res, err := rep.CodingStudy(build, c.dur, seeds)
-		if err != nil {
+	if built != nil {
+		if err := writeFile(c.svg, built.WriteTopologySVG); err != nil {
 			return err
 		}
-		experiment.WriteCodingReport(os.Stdout, res)
-	case "control":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts := experiment.DefaultControlOpts()
-		opts.Warmup = c.warmup
-		opts.Packets = c.packets
-		opts.Interval = c.interval
-		opts.Trace = c.trace != "" || c.traceOp >= 0
-		opts.Window = c.progress
-		if c.convergence != "" && opts.Window == 0 {
-			// -convergence without -progress still needs a window period;
-			// 30 s matches the report/golden defaults.
-			opts.Window = 30 * time.Second
-		}
-		if c.progress > 0 {
-			opts.Progress = os.Stderr
-		}
-		var res *experiment.ControlResult
-		if c.reps == 1 {
-			res, err = experiment.RunControlStudy(scn, p, opts)
-		} else {
-			res, err = rep.ControlStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteControlReport(os.Stdout, res)
-		if c.convergence != "" {
-			f, err := os.Create(c.convergence)
-			if err != nil {
-				return err
-			}
-			obs.WriteConvergenceReport(f, res.Convergence)
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nconvergence report written to %s\n", c.convergence)
-		}
-		if c.trace != "" {
-			events := res.Events
-			sampled := ""
-			if c.traceSample > 1 {
-				events = telemetry.SampleOps(events, c.traceSample)
-				sampled = fmt.Sprintf(" (1-in-%d op sample of %d)", c.traceSample, len(res.Events))
-			}
-			if err := writeTrace(c.trace, events); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s%s\n", len(events), c.trace, sampled)
-		}
-		if c.traceOp >= 0 {
-			dst := radio.NodeID(c.traceOp)
-			fmt.Printf("\n--- operation spans to node %d ---\n", dst)
-			telemetry.RenderOpSpans(os.Stdout, res.Events, func(s *telemetry.OpSpan) bool {
-				return s.Dst == dst
-			})
-		}
-	case "throughput":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts, err := c.throughputOpts()
-		if err != nil {
-			return err
-		}
-		var res *experiment.ThroughputResult
-		if c.reps == 1 {
-			res, err = experiment.RunThroughputStudy(scn, p, opts)
-		} else {
-			res, err = rep.ThroughputStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteThroughputReport(os.Stdout, res)
-		if c.csv != "" {
-			f, err := os.Create(c.csv)
-			if err != nil {
-				return err
-			}
-			if err := experiment.WriteThroughputCSV(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nthroughput sweep written to %s\n", c.csv)
-		}
-		if c.trace != "" {
-			if err := writeTrace(c.trace, res.Events); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s\n", len(res.Events), c.trace)
-		}
-	case "service":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts, err := c.serviceOpts()
-		if err != nil {
-			return err
-		}
-		var res *experiment.ServiceResult
-		if c.reps == 1 {
-			res, err = experiment.RunServiceStudy(scn, p, opts)
-		} else {
-			res, err = rep.ServiceStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteServiceReport(os.Stdout, res)
-		if c.csv != "" {
-			f, err := os.Create(c.csv)
-			if err != nil {
-				return err
-			}
-			if err := experiment.WriteServiceCSV(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nservice sweep written to %s\n", c.csv)
-		}
-		if c.trace != "" {
-			// The service sub-runs' events (including the svc.batch
-			// membership spans); a transparent study exports the baseline,
-			// byte-identical to the open-loop throughput trace.
-			if err := writeTrace(c.trace, res.EventsSvc); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s\n", len(res.EventsSvc), c.trace)
-		}
-	case "scope":
-		if c.reps > 1 {
-			return fmt.Errorf("the scope study does not support -reps")
-		}
-		opts := experiment.DefaultScopeOpts()
-		opts.Warmup = c.warmup
-		res, err := experiment.RunScopeStudy(scn, opts)
-		if err != nil {
-			return err
-		}
-		experiment.WriteScopeReport(os.Stdout, res)
-	default:
-		return fmt.Errorf("unknown study %q", c.study)
+		fmt.Printf("topology SVG written to %s\n", c.svg)
 	}
 	return nil
 }
 
+// replicate runs one study over -reps consecutive seeds from -seed on
+// -parallel workers, each seed on a fresh build of the named scenario,
+// and merges the results in seed order. One seed gives exactly the
+// direct run.
+func replicate[R any](c *cliConfig, scenario string, run func(experiment.Scenario) (R, error), merge func([]R) R) (R, error) {
+	seeds := make([]uint64, c.reps)
+	for i := range seeds {
+		seeds[i] = c.seed + uint64(i)
+	}
+	return experiment.Replicate(experiment.Replicator{Workers: c.parallel}, seeds, func(seed uint64) (R, error) {
+		return run(c.build(scenario, seed))
+	}, merge)
+}
+
+// build assembles one named scenario for one seed.
+func (c *cliConfig) build(name string, seed uint64) experiment.Scenario {
+	scn, _ := pickScenario(name, seed) // checked by validate
+	scn.Fault = c.faultPlan
+	scn.Codec = c.codec
+	if c.onNet != nil {
+		scn.OnNetBuilt = c.onNet
+	}
+	return scn
+}
+
+// output is what a finished study hands the shared writer; a study leaves
+// the parts it has no flag for empty.
+type output struct {
+	report func(w io.Writer)
+	// csv writes the -csv export, which the echo line calls csvName.
+	csv         func(w io.Writer) error
+	csvName     string
+	convergence *obs.Report
+	// events is the -trace export and the -trace-op span source.
+	events []telemetry.Event
+}
+
+// write prints the study's report, then writes each requested file.
+func (c *cliConfig) write(out *output) error {
+	out.report(os.Stdout)
+	if c.csv != "" {
+		if err := writeFile(c.csv, out.csv); err != nil {
+			return err
+		}
+		fmt.Printf("\n%s written to %s\n", out.csvName, c.csv)
+	}
+	if c.convergence != "" {
+		err := writeFile(c.convergence, func(w io.Writer) error {
+			obs.WriteConvergenceReport(w, out.convergence)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nconvergence report written to %s\n", c.convergence)
+	}
+	if c.trace != "" {
+		events, sampled := out.events, ""
+		if c.traceSample > 1 {
+			events = telemetry.SampleOps(out.events, c.traceSample)
+			sampled = fmt.Sprintf(" (1-in-%d op sample of %d)", c.traceSample, len(out.events))
+		}
+		if err := writeFile(c.trace, func(w io.Writer) error { return telemetry.WriteJSONL(w, events) }); err != nil {
+			return err
+		}
+		fmt.Printf("\n%d telemetry events written to %s%s\n", len(events), c.trace, sampled)
+	}
+	if c.traceOp >= 0 {
+		dst := radio.NodeID(c.traceOp)
+		fmt.Printf("\n--- operation spans to node %d ---\n", dst)
+		telemetry.RenderOpSpans(os.Stdout, out.events, func(s *telemetry.OpSpan) bool {
+			return s.Dst == dst
+		})
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func runCoding(c *cliConfig) (*output, error) {
+	res, err := replicate(c, c.scenario, func(scn experiment.Scenario) (*experiment.CodingResult, error) {
+		return experiment.RunCodingStudy(scn, c.dur)
+	}, experiment.MergeCodingResults)
+	return &output{report: func(w io.Writer) { experiment.WriteCodingReport(w, res) }}, err
+}
+
+func runControl(c *cliConfig) (*output, error) {
+	opts := experiment.DefaultControlOpts()
+	opts.Warmup = c.warmup
+	opts.Packets = c.packets
+	opts.Interval = c.interval
+	opts.Trace = c.trace != "" || c.traceOp >= 0
+	opts.Window = c.progress
+	if c.convergence != "" && opts.Window == 0 {
+		// -convergence without -progress still needs a window period;
+		// 30 s matches the report/golden defaults.
+		opts.Window = 30 * time.Second
+	}
+	if c.progress > 0 {
+		opts.Progress = os.Stderr
+	}
+	res, err := replicate(c, c.scenario, func(scn experiment.Scenario) (*experiment.ControlResult, error) {
+		return experiment.RunControlStudy(scn, c.protocol, opts)
+	}, experiment.MergeControlResults)
+	if err != nil {
+		return nil, err
+	}
+	return &output{
+		report:      func(w io.Writer) { experiment.WriteControlReport(w, res) },
+		convergence: res.Convergence,
+		events:      res.Events,
+	}, nil
+}
+
+func runScope(c *cliConfig) (*output, error) {
+	opts := experiment.DefaultScopeOpts()
+	opts.Warmup = c.warmup
+	res, err := experiment.RunScopeStudy(c.build(c.scenario, c.seed), opts)
+	return &output{report: func(w io.Writer) { experiment.WriteScopeReport(w, res) }}, err
+}
+
+func runThroughput(c *cliConfig) (*output, error) {
+	opts, err := c.throughputOpts()
+	if err != nil {
+		return nil, err
+	}
+	res, err := replicate(c, c.scenario, func(scn experiment.Scenario) (*experiment.ThroughputResult, error) {
+		return experiment.RunThroughputStudy(scn, c.protocol, opts)
+	}, experiment.MergeThroughputResults)
+	if err != nil {
+		return nil, err
+	}
+	return &output{
+		report:  func(w io.Writer) { experiment.WriteThroughputReport(w, res) },
+		csv:     func(w io.Writer) error { return experiment.WriteThroughputCSV(w, res) },
+		csvName: "throughput sweep",
+		events:  res.Events,
+	}, nil
+}
+
+func runService(c *cliConfig) (*output, error) {
+	opts, err := c.serviceOpts()
+	if err != nil {
+		return nil, err
+	}
+	res, err := replicate(c, c.scenario, func(scn experiment.Scenario) (*experiment.ServiceResult, error) {
+		return experiment.RunServiceStudy(scn, c.protocol, opts)
+	}, experiment.MergeServiceResults)
+	if err != nil {
+		return nil, err
+	}
+	return &output{
+		report:  func(w io.Writer) { experiment.WriteServiceReport(w, res) },
+		csv:     func(w io.Writer) error { return experiment.WriteServiceCSV(w, res) },
+		csvName: "service sweep",
+		// The service sub-runs' events (including the svc.batch
+		// membership spans); a transparent study exports the baseline,
+		// byte-identical to the open-loop throughput trace.
+		events: res.EventsSvc,
+	}, nil
+}
+
 // runCodingSchemes sweeps the codec list over every scenario in the
-// comma-separated -scenario value, printing one comparison per scenario
-// and optionally exporting all rows to one CSV file.
-func runCodingSchemes(c *cliConfig, plan *fault.Plan) error {
+// comma-separated -scenario value: one comparison per scenario, and all
+// rows in one CSV file.
+func runCodingSchemes(c *cliConfig) (*output, error) {
 	codecs := splitList(c.codecs)
 	if len(codecs) == 0 {
 		codecs = core.CodecNames()
@@ -748,50 +712,28 @@ func runCodingSchemes(c *cliConfig, plan *fault.Plan) error {
 	if c.joins >= 0 {
 		opts.Joins = c.joins
 	}
-	scenarios := splitList(c.scenario)
-	if len(scenarios) == 0 {
-		return fmt.Errorf("-scenario must name at least one scenario")
-	}
-	seeds := make([]uint64, c.reps)
-	for i := range seeds {
-		seeds[i] = c.seed + uint64(i)
-	}
-	rep := experiment.Replicator{Workers: c.parallel}
 	var results []*experiment.CodingSchemesResult
-	for i, name := range scenarios {
-		if _, err := pickScenario(name, c.seed); err != nil {
-			return err
-		}
-		build := func(s uint64) experiment.Scenario {
-			b, _ := pickScenario(name, s)
-			b.Fault = plan
-			return b
-		}
-		res, err := rep.CodingSchemesStudy(build, codecs, opts, seeds)
+	for _, name := range splitList(c.scenario) {
+		res, err := replicate(c, name, func(scn experiment.Scenario) (*experiment.CodingSchemesResult, error) {
+			return experiment.RunCodingSchemesStudy(scn, codecs, opts)
+		}, experiment.MergeCodingSchemesResults)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if i > 0 {
-			fmt.Println()
-		}
-		experiment.WriteCodingSchemesReport(os.Stdout, res)
 		results = append(results, res)
 	}
-	if c.csv != "" {
-		f, err := os.Create(c.csv)
-		if err != nil {
-			return err
-		}
-		if err := experiment.WriteCodingSchemesCSV(f, results...); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\ncodec comparison written to %s\n", c.csv)
-	}
-	return nil
+	return &output{
+		report: func(w io.Writer) {
+			for i, res := range results {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				experiment.WriteCodingSchemesReport(w, res)
+			}
+		},
+		csv:     func(w io.Writer) error { return experiment.WriteCodingSchemesCSV(w, results...) },
+		csvName: "codec comparison",
+	}, nil
 }
 
 func pickScenario(name string, seed uint64) (experiment.Scenario, error) {

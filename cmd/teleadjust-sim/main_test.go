@@ -108,6 +108,20 @@ func TestValidateRejections(t *testing.T) {
 		}, "-high-water"},
 		{"service ops negative", func(c *cliConfig) { c.study = "service"; c.ops = -1 }, "-ops"},
 		{"service window negative", func(c *cliConfig) { c.study = "service"; c.window = -1 }, "-window"},
+		{"unknown scenario", func(c *cliConfig) { c.scenario = "bogus" }, "scenario"},
+		{"unknown scenario in coding-schemes list", func(c *cliConfig) {
+			c.study = "coding-schemes"
+			c.scenario = "line,bogus"
+		}, "scenario"},
+		{"empty coding-schemes scenario list", func(c *cliConfig) { c.study = "coding-schemes"; c.scenario = " , " }, "-scenario"},
+		{"scenario list outside coding-schemes", func(c *cliConfig) { c.scenario = "line,indoor" }, "scenario"},
+		{"unknown proto on coding", func(c *cliConfig) { c.study = "coding"; c.proto = "bogus" }, "protocol"},
+		{"unknown proto on scope", func(c *cliConfig) { c.study = "scope"; c.proto = "nope" }, "protocol"},
+		{"unknown study", func(c *cliConfig) { c.study = "bogus" }, "study"},
+		{"svg with throughput", func(c *cliConfig) { c.study = "throughput"; c.svg = "out.svg" }, "-svg"},
+		{"svg with service", func(c *cliConfig) { c.study = "service"; c.svg = "out.svg" }, "-svg"},
+		{"svg with scope", func(c *cliConfig) { c.study = "scope"; c.svg = "out.svg" }, "-svg"},
+		{"reps with scope", func(c *cliConfig) { c.study = "scope"; c.reps = 2 }, "-reps"},
 	}
 	for _, tc := range cases {
 		c := baseConfig()

@@ -153,28 +153,13 @@ func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCel
 
 	// Delivery hooks publish run-layer events consumed by the delivery
 	// sink, exactly like the control study.
-	for i, st := range net.Stacks {
-		id := radio.NodeID(i)
-		if id == net.Sink || st.Ctrl == nil {
-			continue
-		}
-		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
-			net.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
-				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
-		})
-	}
+	net.emitDeliveries()
 
 	// Probe phase: the destination and join streams derive from the
 	// scenario seed alone, so every codec's cell sees the same sequence.
 	destRNG := sim.DeriveRNG(scn.Seed, 0xc0dec)
 	joinRNG := sim.DeriveRNG(scn.Seed, 0x10145)
-	joinEvery := 0
-	if opts.Joins > 0 {
-		joinEvery = opts.Packets / (opts.Joins + 1)
-		if joinEvery < 1 {
-			joinEvery = 1
-		}
-	}
+	joinEvery := churnSpacing(opts.Packets, opts.Joins)
 	joined := 0
 	var sentUIDs []uint32
 	ctrl := net.SinkCtrl()
@@ -182,25 +167,14 @@ func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCel
 		if joinEvery > 0 && joined < opts.Joins && p > 0 && p%joinEvery == 0 {
 			// Crash-reboot a random non-sink node: the fresh stack re-joins
 			// the code tree, driving the codec's late-allocation path.
-			for tries := 0; tries < 100; tries++ {
-				v := radio.NodeID(joinRNG.IntN(net.Dep.Len()))
-				if v != net.Sink && net.Alive(v) {
-					joined++
-					net.KillNode(v)
-					net.RebootNode(v)
-					break
-				}
+			if v, ok := net.randomLiveNode(joinRNG, 100); ok {
+				joined++
+				net.KillNode(v)
+				net.RebootNode(v)
 			}
 		}
-		dst := radio.BroadcastID
-		for tries := 0; tries < 50*net.Dep.Len(); tries++ {
-			v := radio.NodeID(destRNG.IntN(net.Dep.Len()))
-			if v != net.Sink && net.Alive(v) {
-				dst = v
-				break
-			}
-		}
-		if dst == radio.BroadcastID {
+		dst, ok := net.randomLiveNode(destRNG, 50*net.Dep.Len())
+		if !ok {
 			cell.Skipped++
 			if err := net.Run(opts.Interval); err != nil {
 				return nil, err
@@ -248,9 +222,9 @@ func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCel
 	return cell, nil
 }
 
-// mergeCodingSchemesResults merges per-seed results in slice order; all
+// MergeCodingSchemesResults merges per-seed results in slice order; all
 // inputs ran the same codec list.
-func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesResult {
+func MergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesResult {
 	var merged *CodingSchemesResult
 	for _, res := range results {
 		if merged == nil {
@@ -260,9 +234,7 @@ func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesRes
 		for i, cell := range res.Codecs {
 			m := merged.Codecs[i]
 			m.Converged += cell.Converged
-			for _, v := range cell.CodeLen.Values() {
-				m.CodeLen.Add(v)
-			}
+			m.CodeLen.Merge(cell.CodeLen)
 			m.Churn += cell.Churn
 			m.CodeChanges += cell.CodeChanges
 			m.HeaderBytes += cell.HeaderBytes
@@ -281,30 +253,4 @@ func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesRes
 		}
 	}
 	return merged
-}
-
-// CodingSchemesStudy runs RunCodingSchemesStudy once per seed and merges
-// the results in seed order.
-func (r Replicator) CodingSchemesStudy(build func(seed uint64) Scenario, codecs []string, opts CodingSchemesOpts, seeds []uint64) (*CodingSchemesResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*CodingSchemesResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunCodingSchemesStudy(build(seeds[i]), codecs, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeCodingSchemesResults(results), nil
-}
-
-// RunCodingSchemesStudySeeds is the serial replication convenience.
-func RunCodingSchemesStudySeeds(build func(seed uint64) Scenario, codecs []string, opts CodingSchemesOpts, seeds []uint64) (*CodingSchemesResult, error) {
-	return Replicator{Workers: 1}.CodingSchemesStudy(build, codecs, opts, seeds)
 }

@@ -67,7 +67,7 @@ func TestWriteCodingSchemesCSVGolden(t *testing.T) {
 func TestMergeCodingSchemesResults(t *testing.T) {
 	a := goldenCodingSchemesResult()
 	b := goldenCodingSchemesResult()
-	m := mergeCodingSchemesResults([]*CodingSchemesResult{a, b})
+	m := MergeCodingSchemesResults([]*CodingSchemesResult{a, b})
 	if len(m.Codecs) != 3 {
 		t.Fatalf("merged codec count = %d", len(m.Codecs))
 	}
@@ -81,7 +81,7 @@ func TestMergeCodingSchemesResults(t *testing.T) {
 	if c.Converged != 0.99 {
 		t.Fatalf("converged not averaged: %v", c.Converged)
 	}
-	if mergeCodingSchemesResults(nil) != nil {
+	if MergeCodingSchemesResults(nil) != nil {
 		t.Fatal("empty merge must return nil")
 	}
 }
@@ -146,11 +146,11 @@ func TestCodingSchemesParallelReplication(t *testing.T) {
 		Drain:    20 * time.Second,
 	}
 	codecs := []string{"paper", "treeexplorer"}
-	serial, err := Replicator{Workers: 1}.CodingSchemesStudy(smallScenario, codecs, opts, seeds)
+	serial, err := Replicate(Replicator{Workers: 1}, seeds, schemesRun(smallScenario, codecs, opts), MergeCodingSchemesResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 2}.CodingSchemesStudy(smallScenario, codecs, opts, seeds)
+	parallel, err := Replicate(Replicator{Workers: 2}, seeds, schemesRun(smallScenario, codecs, opts), MergeCodingSchemesResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCodingSchemesParallelReplication(t *testing.T) {
 	if got := serial.Codecs[0].Sent; got != 3*len(seeds) {
 		t.Fatalf("merged sent = %d, want %d", got, 3*len(seeds))
 	}
-	if _, err := (Replicator{}).CodingSchemesStudy(smallScenario, codecs, opts, nil); err == nil {
+	if _, err := Replicate(Replicator{}, nil, schemesRun(smallScenario, codecs, opts), MergeCodingSchemesResults); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -182,11 +182,11 @@ func TestPaperCodecTraceByteIdentical(t *testing.T) {
 		s.Codec = "paper"
 		return s
 	}
-	base, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	base, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(smallScenario, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Replicator{Workers: 2}.ControlStudy(withCodec, ProtoReTele, opts, seeds)
+	paper, err := Replicate(Replicator{Workers: 2}, seeds, controlRun(withCodec, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestPaperCodecTraceByteIdenticalRefGrid(t *testing.T) {
 		}
 	}
 	seeds := []uint64{1}
-	base, err := Replicator{Workers: 1}.ControlStudy(build(""), ProtoReTele, opts, seeds)
+	base, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(build(""), ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Replicator{Workers: 1}.ControlStudy(build("paper"), ProtoReTele, opts, seeds)
+	paper, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(build("paper"), ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}

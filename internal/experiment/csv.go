@@ -9,128 +9,85 @@ import (
 	"teleadjust/internal/stats"
 )
 
+// writeCSV writes the header and rows as one CSV table; what names the
+// table in a write error.
+func writeCSV(w io.Writer, what string, header []string, rows [][]string) error {
+	if err := csv.NewWriter(w).WriteAll(append([][]string{header}, rows...)); err != nil {
+		return fmt.Errorf("%s csv: %w", what, err)
+	}
+	return nil
+}
+
+// ftoa formats a float cell.
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+
+// byKeyRows renders each key of b as a row: the prefix cells, then
+// key, sample count, and mean.
+func byKeyRows(b *stats.ByKey, prefix ...string) [][]string {
+	var rows [][]string
+	for _, k := range b.Keys() {
+		s := b.Get(k)
+		rows = append(rows, append(append([]string{}, prefix...),
+			strconv.Itoa(k), strconv.Itoa(s.Count()), ftoa(s.Mean())))
+	}
+	return rows
+}
+
 // WriteByKeyCSV exports a grouped series as CSV rows
 // (key,count,mean,min,max) for external plotting.
 func WriteByKeyCSV(w io.Writer, b *stats.ByKey, keyName, valueName string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{keyName, "n", "mean_" + valueName, "min", "max"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, k := range b.Keys() {
 		s := b.Get(k)
-		rec := []string{
-			strconv.Itoa(k),
-			strconv.Itoa(s.Count()),
-			strconv.FormatFloat(s.Mean(), 'g', 6, 64),
-			strconv.FormatFloat(s.Min(), 'g', 6, 64),
-			strconv.FormatFloat(s.Max(), 'g', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		rows = append(rows, []string{strconv.Itoa(k), strconv.Itoa(s.Count()), ftoa(s.Mean()), ftoa(s.Min()), ftoa(s.Max())})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "by-key", []string{keyName, "n", "mean_" + valueName, "min", "max"}, rows)
 }
 
 // WriteScatterCSV exports a scatter cloud as CSV rows (x,y).
 func WriteScatterCSV(w io.Writer, s *stats.Scatter, xName, yName string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{xName, yName}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for i := range s.Xs {
-		rec := []string{
-			strconv.FormatFloat(s.Xs[i], 'g', 6, 64),
-			strconv.FormatFloat(s.Ys[i], 'g', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		rows = append(rows, []string{ftoa(s.Xs[i]), ftoa(s.Ys[i])})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scatter", []string{xName, yName}, rows)
 }
 
 // WriteControlCSV exports every per-hop series of a control study with a
 // figure label column, one file for all of Fig 7/8/10.
 func WriteControlCSV(w io.Writer, res *ControlResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"figure", "protocol", "scenario", "key", "n", "mean"}); err != nil {
-		return err
-	}
-	emit := func(fig string, b *stats.ByKey) error {
-		for _, k := range b.Keys() {
-			s := b.Get(k)
-			rec := []string{
-				fig, res.Proto, res.Scenario,
-				strconv.Itoa(k),
-				strconv.Itoa(s.Count()),
-				strconv.FormatFloat(s.Mean(), 'g', 6, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := emit("fig7_pdr", res.PDRByHop); err != nil {
-		return err
-	}
-	if err := emit("fig10_latency", res.LatencyByHop); err != nil {
-		return err
-	}
-	if err := emit("fig8_athx", res.ATHX.MeanYForX()); err != nil {
-		return err
-	}
-	summary := []string{"table3_tx", res.Proto, res.Scenario, "0", strconv.Itoa(res.Sent),
-		strconv.FormatFloat(res.TxPerPacket, 'g', 6, 64)}
-	if err := cw.Write(summary); err != nil {
-		return err
-	}
-	duty := []string{"fig9_duty", res.Proto, res.Scenario, "0", strconv.Itoa(res.Sent),
-		strconv.FormatFloat(res.AvgDutyCycle, 'g', 6, 64)}
-	if err := cw.Write(duty); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+	var rows [][]string
+	rows = append(rows, byKeyRows(res.PDRByHop, "fig7_pdr", res.Proto, res.Scenario)...)
+	rows = append(rows, byKeyRows(res.LatencyByHop, "fig10_latency", res.Proto, res.Scenario)...)
+	rows = append(rows, byKeyRows(res.ATHX.MeanYForX(), "fig8_athx", res.Proto, res.Scenario)...)
+	rows = append(rows,
+		[]string{"table3_tx", res.Proto, res.Scenario, "0", strconv.Itoa(res.Sent), ftoa(res.TxPerPacket)},
+		[]string{"fig9_duty", res.Proto, res.Scenario, "0", strconv.Itoa(res.Sent), ftoa(res.AvgDutyCycle)})
+	return writeCSV(w, "control", []string{"figure", "protocol", "scenario", "key", "n", "mean"}, rows)
 }
 
 // WriteThroughputCSV exports a throughput sweep, one row per load point:
 // the offered-load vs goodput curve with latency percentiles and the
 // command plane's loss accounting.
 func WriteThroughputCSV(w io.Writer, res *ThroughputResult) error {
-	cw := csv.NewWriter(w)
 	header := []string{"protocol", "scenario", "mode", "dist", "point",
 		"ops", "ok", "failed", "unroutable", "rejected", "expired", "retries", "unresolved",
 		"offered_ops_s", "goodput_ops_s", "lat_p50_s", "lat_p95_s", "lat_p99_s", "wait_mean_s"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+	var rows [][]string
 	for _, pt := range res.Points {
-		rec := []string{res.Proto, res.Scenario, res.Mode, res.Dist, pt.Label,
+		rows = append(rows, []string{res.Proto, res.Scenario, res.Mode, res.Dist, pt.Label,
 			strconv.Itoa(pt.Ops), strconv.Itoa(pt.OK), strconv.Itoa(pt.Failed),
 			strconv.Itoa(pt.Unroutable), strconv.Itoa(pt.Rejected), strconv.Itoa(pt.Expired),
 			strconv.Itoa(pt.Retries), strconv.Itoa(pt.Unresolved),
-			f(pt.Offered), f(pt.Goodput),
-			f(pt.Latency.P50()), f(pt.Latency.P95()), f(pt.Latency.P99()), f(pt.QueueWait.Mean())}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+			ftoa(pt.Offered), ftoa(pt.Goodput),
+			ftoa(pt.Latency.P50()), ftoa(pt.Latency.P95()), ftoa(pt.Latency.P99()), ftoa(pt.QueueWait.Mean())})
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("throughput csv: %w", err)
-	}
-	return nil
+	return writeCSV(w, "throughput", header, rows)
 }
 
 // WriteServiceCSV exports a command-service study, one row per rate
 // point with paired baseline/service columns.
 func WriteServiceCSV(w io.Writer, res *ServiceResult) error {
-	cw := csv.NewWriter(w)
 	header := []string{"protocol", "scenario", "dist", "point", "ops",
 		"offered_base_ops_s", "offered_svc_ops_s",
 		"goodput_base_ops_s", "goodput_svc_ops_s", "speedup",
@@ -139,105 +96,52 @@ func WriteServiceCSV(w io.Writer, res *ServiceResult) error {
 		"shed", "delayed", "batches", "batched_cmds", "mean_batch",
 		"cache_hits", "cache_misses", "cache_hit_rate",
 		"lat_base_p50_s", "lat_svc_p50_s", "lat_base_p95_s", "lat_svc_p95_s"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+	var rows [][]string
 	for _, pt := range res.Points {
-		rec := []string{res.Proto, res.Scenario, res.Dist, pt.Label,
+		rows = append(rows, []string{res.Proto, res.Scenario, res.Dist, pt.Label,
 			strconv.Itoa(pt.Ops),
-			f(pt.OfferedBase), f(pt.Offered),
-			f(pt.GoodputBase), f(pt.GoodputSvc), f(pt.Speedup()),
+			ftoa(pt.OfferedBase), ftoa(pt.Offered),
+			ftoa(pt.GoodputBase), ftoa(pt.GoodputSvc), ftoa(pt.Speedup()),
 			strconv.Itoa(pt.OKBase), strconv.Itoa(pt.OKSvc),
 			strconv.Itoa(pt.FailedBase), strconv.Itoa(pt.FailedSvc),
 			strconv.Itoa(pt.UnresolvedBase), strconv.Itoa(pt.UnresolvedSvc),
 			strconv.Itoa(pt.Shed), strconv.Itoa(pt.Delayed),
-			strconv.Itoa(pt.Batches), strconv.Itoa(pt.BatchedCmds), f(pt.MeanBatch()),
-			strconv.Itoa(pt.CacheHits), strconv.Itoa(pt.CacheMisses), f(pt.CacheHitRate()),
-			f(pt.LatencyBase.P50()), f(pt.LatencySvc.P50()),
-			f(pt.LatencyBase.P95()), f(pt.LatencySvc.P95())}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+			strconv.Itoa(pt.Batches), strconv.Itoa(pt.BatchedCmds), ftoa(pt.MeanBatch()),
+			strconv.Itoa(pt.CacheHits), strconv.Itoa(pt.CacheMisses), ftoa(pt.CacheHitRate()),
+			ftoa(pt.LatencyBase.P50()), ftoa(pt.LatencySvc.P50()),
+			ftoa(pt.LatencyBase.P95()), ftoa(pt.LatencySvc.P95())})
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("service csv: %w", err)
-	}
-	return nil
+	return writeCSV(w, "service", header, rows)
 }
 
 // WriteCodingSchemesCSV exports codec comparisons under one header, one
 // row per (scenario, codec) cell.
 func WriteCodingSchemesCSV(w io.Writer, results ...*CodingSchemesResult) error {
-	cw := csv.NewWriter(w)
 	header := []string{"scenario", "codec", "converged",
 		"len_p50", "len_p95", "len_max", "len_mean",
 		"churn", "code_changes", "header_bytes", "control_sends", "hdr_bytes_per_send",
 		"sent", "delivered", "skipped", "pdr"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+	var rows [][]string
 	for _, res := range results {
 		for _, c := range res.Codecs {
-			rec := []string{res.Scenario, c.Codec, f(c.Converged),
-				f(c.CodeLen.P50()), f(c.CodeLen.P95()), f(c.CodeLen.Max()), f(c.CodeLen.Mean()),
+			rows = append(rows, []string{res.Scenario, c.Codec, ftoa(c.Converged),
+				ftoa(c.CodeLen.P50()), ftoa(c.CodeLen.P95()), ftoa(c.CodeLen.Max()), ftoa(c.CodeLen.Mean()),
 				strconv.FormatUint(c.Churn, 10), strconv.FormatUint(c.CodeChanges, 10),
 				strconv.FormatUint(c.HeaderBytes, 10), strconv.FormatUint(c.ControlSends, 10),
-				f(c.HeaderBytesPerSend()),
-				strconv.Itoa(c.Sent), strconv.Itoa(c.Delivered), strconv.Itoa(c.Skipped), f(c.PDR())}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+				ftoa(c.HeaderBytesPerSend()),
+				strconv.Itoa(c.Sent), strconv.Itoa(c.Delivered), strconv.Itoa(c.Skipped), ftoa(c.PDR())})
 		}
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("coding schemes csv: %w", err)
-	}
-	return nil
+	return writeCSV(w, "coding schemes", header, rows)
 }
 
 // WriteCodingCSV exports a coding study's per-hop series.
 func WriteCodingCSV(w io.Writer, res *CodingResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"figure", "scenario", "key", "n", "mean"}); err != nil {
-		return err
-	}
-	emit := func(fig string, b *stats.ByKey) error {
-		for _, k := range b.Keys() {
-			s := b.Get(k)
-			rec := []string{
-				fig, res.Scenario,
-				strconv.Itoa(k),
-				strconv.Itoa(s.Count()),
-				strconv.FormatFloat(s.Mean(), 'g', 6, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := emit("fig6a_codelen", res.CodeLenByHop); err != nil {
-		return err
-	}
-	if err := emit("fig6b_children", res.ChildrenByHop); err != nil {
-		return err
-	}
-	if err := emit("fig6d_revhops", res.ReverseVsCTP.MeanYForX()); err != nil {
-		return err
-	}
-	row := []string{"fig6c_convergence", res.Scenario, "0",
-		strconv.Itoa(res.ConvergenceBeacons.Count()),
-		strconv.FormatFloat(res.ConvergenceBeacons.Mean(), 'g', 6, 64)}
-	if err := cw.Write(row); err != nil {
-		return err
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("coding csv: %w", err)
-	}
-	return nil
+	var rows [][]string
+	rows = append(rows, byKeyRows(res.CodeLenByHop, "fig6a_codelen", res.Scenario)...)
+	rows = append(rows, byKeyRows(res.ChildrenByHop, "fig6b_children", res.Scenario)...)
+	rows = append(rows, byKeyRows(res.ReverseVsCTP.MeanYForX(), "fig6d_revhops", res.Scenario)...)
+	rows = append(rows, []string{"fig6c_convergence", res.Scenario, "0",
+		strconv.Itoa(res.ConvergenceBeacons.Count()), ftoa(res.ConvergenceBeacons.Mean())})
+	return writeCSV(w, "coding", []string{"figure", "scenario", "key", "n", "mean"}, rows)
 }

@@ -174,14 +174,14 @@ func TestSeedsRunnerMerges(t *testing.T) {
 		Interval: 16 * time.Second,
 		Drain:    20 * time.Second,
 	}
-	res, err := RunControlStudySeeds(smallScenario, ProtoTele, opts, []uint64{1, 2})
+	res, err := Replicate(Replicator{Workers: 1}, []uint64{1, 2}, controlRun(smallScenario, ProtoTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sent != 6 {
 		t.Fatalf("merged sent = %d, want 6", res.Sent)
 	}
-	if _, err := RunControlStudySeeds(smallScenario, ProtoTele, opts, nil); err == nil {
+	if _, err := Replicate(Replicator{Workers: 1}, nil, controlRun(smallScenario, ProtoTele, opts), MergeControlResults); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"teleadjust/internal/sim"
+	"teleadjust/internal/telemetry"
 )
 
 // Replicator runs independent replications of a study — one fully
@@ -78,44 +78,36 @@ func (r Replicator) each(n int, fn func(i int) error) error {
 	return nil
 }
 
-// ControlStudy runs RunControlStudy once per seed (fresh topology and
-// channel per seed) and merges the results in seed order.
-func (r Replicator) ControlStudy(build func(seed uint64) Scenario, proto Proto, opts ControlOpts, seeds []uint64) (*ControlResult, error) {
+// Replicate runs a study once per seed on r's worker pool — run must
+// build everything it touches from its seed alone — and merges the
+// per-seed results in seed order. The merge may reuse the first result.
+func Replicate[R any](r Replicator, seeds []uint64, run func(seed uint64) (R, error), merge func([]R) R) (R, error) {
+	var zero R
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
+		return zero, fmt.Errorf("experiment: no seeds given")
 	}
-	results := make([]*ControlResult, len(seeds))
+	results := make([]R, len(seeds))
 	err := r.each(len(seeds), func(i int) error {
-		res, err := RunControlStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
+		res, err := run(seeds[i])
 		results[i] = res
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return mergeControlResults(results), nil
+	return merge(results), nil
 }
 
-// CodingStudy runs RunCodingStudy once per seed and merges the results in
-// seed order.
-func (r Replicator) CodingStudy(build func(seed uint64) Scenario, dur time.Duration, seeds []uint64) (*CodingResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*CodingResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunCodingStudy(build(seeds[i]), dur)
-		if err != nil {
-			return err
+// mergeEvents concatenates the per-seed telemetry streams of results in
+// seed order, tagging each event with its replication index, so a
+// parallel replication's merged stream is byte-identical to the serial one.
+func mergeEvents[R any](results []R, events func(R) []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for ri, res := range results {
+		for _, ev := range events(res) {
+			ev.Run = ri
+			out = append(out, ev)
 		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return mergeCodingResults(results), nil
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"teleadjust/internal/fault"
+	"teleadjust/internal/obs"
 	"teleadjust/internal/telemetry"
 )
 
@@ -20,6 +21,128 @@ func replicateOpts() ControlOpts {
 	}
 }
 
+// controlRun, codingRun, schemesRun, throughputRun and serviceRun adapt
+// each study's runner to Replicate's run-one-seed shape.
+func controlRun(build func(uint64) Scenario, proto Proto, opts ControlOpts) func(uint64) (*ControlResult, error) {
+	return func(seed uint64) (*ControlResult, error) { return RunControlStudy(build(seed), proto, opts) }
+}
+
+func codingRun(build func(uint64) Scenario, dur time.Duration) func(uint64) (*CodingResult, error) {
+	return func(seed uint64) (*CodingResult, error) { return RunCodingStudy(build(seed), dur) }
+}
+
+func schemesRun(build func(uint64) Scenario, codecs []string, opts CodingSchemesOpts) func(uint64) (*CodingSchemesResult, error) {
+	return func(seed uint64) (*CodingSchemesResult, error) {
+		return RunCodingSchemesStudy(build(seed), codecs, opts)
+	}
+}
+
+func throughputRun(build func(uint64) Scenario, proto Proto, opts ThroughputOpts) func(uint64) (*ThroughputResult, error) {
+	return func(seed uint64) (*ThroughputResult, error) { return RunThroughputStudy(build(seed), proto, opts) }
+}
+
+func serviceRun(build func(uint64) Scenario, proto Proto, opts ServiceOpts) func(uint64) (*ServiceResult, error) {
+	return func(seed uint64) (*ServiceResult, error) { return RunServiceStudy(build(seed), proto, opts) }
+}
+
+// checkOneSeed runs a study directly and through Replicate on the same
+// single seed and requires identical rendered output.
+func checkOneSeed[R any](t *testing.T, run func(uint64) (R, error), merge func([]R) R, render func(*bytes.Buffer, R) error) {
+	t.Helper()
+	const seed = 7
+	direct, err := run(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := Replicate(Replicator{}, []uint64{seed}, run, merge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db, rb bytes.Buffer
+	if err := render(&db, direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := render(&rb, replicated); err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() == 0 {
+		t.Fatal("nothing rendered")
+	}
+	if !bytes.Equal(db.Bytes(), rb.Bytes()) {
+		t.Fatalf("one-seed Replicate diverged from the direct run:\n--- direct ---\n%s\n--- replicated ---\n%s",
+			db.String(), rb.String())
+	}
+}
+
+// TestOneSeedReplicateMatchesDirect: for every replicable study,
+// Replicate over one seed renders the same report, CSV and trace bytes
+// as the study's runner called directly on that seed, so callers need no
+// separate single-run path.
+func TestOneSeedReplicateMatchesDirect(t *testing.T) {
+	t.Run("control", func(t *testing.T) {
+		opts := replicateOpts()
+		opts.Trace = true
+		opts.Window = 30 * time.Second
+		checkOneSeed(t, controlRun(smallScenario, ProtoReTele, opts), MergeControlResults,
+			func(b *bytes.Buffer, res *ControlResult) error {
+				WriteControlReport(b, res)
+				obs.WriteConvergenceReport(b, res.Convergence)
+				if err := WriteControlCSV(b, res); err != nil {
+					return err
+				}
+				return telemetry.WriteJSONL(b, res.Events)
+			})
+	})
+	t.Run("coding", func(t *testing.T) {
+		checkOneSeed(t, codingRun(smallScenario, 2*time.Minute), MergeCodingResults,
+			func(b *bytes.Buffer, res *CodingResult) error {
+				WriteCodingReport(b, res)
+				return WriteCodingCSV(b, res)
+			})
+	})
+	t.Run("coding-schemes", func(t *testing.T) {
+		opts := CodingSchemesOpts{
+			Warmup:   90 * time.Second,
+			Packets:  3,
+			Interval: 16 * time.Second,
+			Drain:    20 * time.Second,
+			Joins:    1,
+		}
+		checkOneSeed(t, schemesRun(smallScenario, []string{"paper", "treeexplorer"}, opts), MergeCodingSchemesResults,
+			func(b *bytes.Buffer, res *CodingSchemesResult) error {
+				WriteCodingSchemesReport(b, res)
+				return WriteCodingSchemesCSV(b, res)
+			})
+	})
+	t.Run("throughput", func(t *testing.T) {
+		opts := throughputOpts()
+		opts.Trace = true
+		checkOneSeed(t, throughputRun(smallScenario, ProtoTele, opts), MergeThroughputResults,
+			func(b *bytes.Buffer, res *ThroughputResult) error {
+				WriteThroughputReport(b, res)
+				if err := WriteThroughputCSV(b, res); err != nil {
+					return err
+				}
+				return telemetry.WriteJSONL(b, res.Events)
+			})
+	})
+	t.Run("service", func(t *testing.T) {
+		opts := svcTestOpts()
+		opts.Trace = true
+		checkOneSeed(t, serviceRun(smallScenario, ProtoTele, opts), MergeServiceResults,
+			func(b *bytes.Buffer, res *ServiceResult) error {
+				WriteServiceReport(b, res)
+				if err := WriteServiceCSV(b, res); err != nil {
+					return err
+				}
+				if err := telemetry.WriteJSONL(b, res.EventsBase); err != nil {
+					return err
+				}
+				return telemetry.WriteJSONL(b, res.EventsSvc)
+			})
+	})
+}
+
 // TestParallelReplicationByteIdentical is the determinism contract of the
 // Replicator: N replications merged on a multi-worker pool must produce a
 // byte-identical report to the serial merge, regardless of scheduling.
@@ -27,11 +150,11 @@ func TestParallelReplicationByteIdentical(t *testing.T) {
 	seeds := DeriveSeeds(7, 4)
 	opts := replicateOpts()
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	serial, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(smallScenario, ProtoTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 4}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	parallel, err := Replicate(Replicator{Workers: 4}, seeds, controlRun(smallScenario, ProtoTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +182,11 @@ func TestParallelReplicationTraceByteIdentical(t *testing.T) {
 	opts := replicateOpts()
 	opts.Trace = true
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	serial, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(smallScenario, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 3}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	parallel, err := Replicate(Replicator{Workers: 3}, seeds, controlRun(smallScenario, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +219,11 @@ func TestParallelReplicationTraceByteIdentical(t *testing.T) {
 // Replicator the same way.
 func TestParallelCodingReplication(t *testing.T) {
 	seeds := DeriveSeeds(9, 3)
-	serial, err := Replicator{Workers: 1}.CodingStudy(smallScenario, 2*time.Minute, seeds)
+	serial, err := Replicate(Replicator{Workers: 1}, seeds, codingRun(smallScenario, 2*time.Minute), MergeCodingResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 3}.CodingStudy(smallScenario, 2*time.Minute, seeds)
+	parallel, err := Replicate(Replicator{Workers: 3}, seeds, codingRun(smallScenario, 2*time.Minute), MergeCodingResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +257,11 @@ func TestFaultPlanReplicationByteIdentical(t *testing.T) {
 	opts := replicateOpts()
 	opts.DataIPI = 20 * time.Second // exercise the ticker bookkeeping across crash/reboot
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(build, ProtoReTele, opts, seeds)
+	serial, err := Replicate(Replicator{Workers: 1}, seeds, controlRun(build, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 4}.ControlStudy(build, ProtoReTele, opts, seeds)
+	parallel, err := Replicate(Replicator{Workers: 4}, seeds, controlRun(build, ProtoReTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +298,10 @@ func TestDeriveSeedsDeterministic(t *testing.T) {
 }
 
 func TestReplicatorEmptySeeds(t *testing.T) {
-	if _, err := (Replicator{}).ControlStudy(smallScenario, ProtoTele, replicateOpts(), nil); err == nil {
+	if _, err := Replicate(Replicator{}, nil, controlRun(smallScenario, ProtoTele, replicateOpts()), MergeControlResults); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
-	if _, err := (Replicator{}).CodingStudy(smallScenario, time.Minute, nil); err == nil {
+	if _, err := Replicate(Replicator{}, nil, codingRun(smallScenario, time.Minute), MergeCodingResults); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -193,13 +316,13 @@ func TestReplicatorPropagatesErrors(t *testing.T) {
 		}
 		return s
 	}
-	_, err := Replicator{Workers: 4}.ControlStudy(bad, ProtoTele, replicateOpts(), []uint64{1, 2, 3})
+	_, err := Replicate(Replicator{Workers: 4}, []uint64{1, 2, 3}, controlRun(bad, ProtoTele, replicateOpts()), MergeControlResults)
 	if err == nil {
 		t.Fatal("replication error swallowed")
 	}
 	want := fmt.Sprintf("%v", err)
 	for i := 0; i < 3; i++ {
-		_, err2 := Replicator{Workers: 4}.ControlStudy(bad, ProtoTele, replicateOpts(), []uint64{1, 2, 3})
+		_, err2 := Replicate(Replicator{Workers: 4}, []uint64{1, 2, 3}, controlRun(bad, ProtoTele, replicateOpts()), MergeControlResults)
 		if got := fmt.Sprintf("%v", err2); got != want {
 			t.Fatalf("error not deterministic: %q vs %q", got, want)
 		}
@@ -211,7 +334,7 @@ func TestReplicatorPropagatesErrors(t *testing.T) {
 func TestReplicatorWorkerCaps(t *testing.T) {
 	seeds := DeriveSeeds(5, 2)
 	opts := replicateOpts()
-	res, err := Replicator{Workers: 16}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	res, err := Replicate(Replicator{Workers: 16}, seeds, controlRun(smallScenario, ProtoTele, opts), MergeControlResults)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,54 +151,37 @@ func WriteCodingSchemesReport(w io.Writer, res *CodingSchemesResult) {
 	fmt.Fprintln(w, "\nmean code length (bits):")
 	maxMean := 0.0
 	for _, c := range res.Codecs {
-		if m := c.CodeLen.Mean(); m > maxMean {
-			maxMean = m
-		}
+		maxMean = max(maxMean, c.CodeLen.Mean())
 	}
+	for _, c := range res.Codecs {
+		fmt.Fprintf(w, "%-14s %8.3f %s\n", c.Codec, c.CodeLen.Mean(), bar(c.CodeLen.Mean(), maxMean))
+	}
+}
+
+// bar renders m as up to 30 block cells, scaled so maxMean fills the
+// width (a non-positive maxMean scales to 1).
+func bar(m, maxMean float64) string {
+	const width = 30
 	if maxMean <= 0 {
 		maxMean = 1
 	}
-	const width = 30
-	for _, c := range res.Codecs {
-		m := c.CodeLen.Mean()
-		n := int(m / maxMean * width)
-		if n > width {
-			n = width
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "%-14s %8.3f %s\n", c.Codec, m, strings.Repeat("█", n))
-	}
+	return strings.Repeat("█", min(width, max(0, int(m/maxMean*width))))
 }
 
 // BarTable renders a grouped series as an aligned table with ASCII bars
 // scaled to the maximum mean (or scaleMax when positive) — a text
 // rendition of the paper's bar figures.
 func BarTable(b *stats.ByKey, scaleMax float64) string {
-	const width = 30
 	var sb strings.Builder
 	maxMean := scaleMax
 	if maxMean <= 0 {
 		for _, k := range b.Keys() {
-			if m := b.Get(k).Mean(); m > maxMean {
-				maxMean = m
-			}
+			maxMean = max(maxMean, b.Get(k).Mean())
 		}
-	}
-	if maxMean <= 0 {
-		maxMean = 1
 	}
 	for _, k := range b.Keys() {
 		m := b.Get(k).Mean()
-		n := int(m / maxMean * width)
-		if n > width {
-			n = width
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&sb, "%-8d %8.3f %s\n", k, m, strings.Repeat("█", n))
+		fmt.Fprintf(&sb, "%-8d %8.3f %s\n", k, m, bar(m, maxMean))
 	}
 	return sb.String()
 }

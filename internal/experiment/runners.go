@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"io"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -272,30 +273,12 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 	sentByUID := make(map[uint32]*sent)
 	deliveredAt := delivery.at
 
-	// Register delivered hooks once, uniformly over all stacks: each hook
-	// publishes a run-layer delivery event onto the bus, which the
-	// delivery sink (and an optional trace collector) consume.
-	for i, st := range net.Stacks {
-		id := radio.NodeID(i)
-		if id == net.Sink || st.Ctrl == nil {
-			continue
-		}
-		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
-			net.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
-				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
-		})
-	}
+	net.emitDeliveries()
 
 	ackOK := 0
 	destRNG := sim.DeriveRNG(scn.Seed, 0xd057)
 	killRNG := sim.DeriveRNG(scn.Seed, 0x1c11)
-	killEvery := 0
-	if opts.KillNodes > 0 {
-		killEvery = opts.Packets / (opts.KillNodes + 1)
-		if killEvery < 1 {
-			killEvery = 1
-		}
-	}
+	killEvery := churnSpacing(opts.Packets, opts.KillNodes)
 	killed := 0
 	ctrl := net.SinkCtrl()
 	for p := 0; p < opts.Packets; p++ {
@@ -303,27 +286,16 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 			// Fail a random live non-sink node. Liveness is tracked by the
 			// network itself, so scripted fault-plan crashes and reboots
 			// compose with the runner's own churn.
-			for tries := 0; tries < 100; tries++ {
-				v := radio.NodeID(killRNG.IntN(net.Dep.Len()))
-				if v != net.Sink && net.Alive(v) {
-					killed++
-					net.KillNode(v)
-					break
-				}
+			if v, ok := net.randomLiveNode(killRNG, 100); ok {
+				killed++
+				net.KillNode(v)
 			}
 		}
 		// Pick a random live destination (uniform over non-sink nodes). The
 		// attempt bound guards against a fault plan that kills every
 		// non-sink node; packets without a live destination are skipped.
-		dst := radio.BroadcastID
-		for tries := 0; tries < 50*net.Dep.Len(); tries++ {
-			v := radio.NodeID(destRNG.IntN(net.Dep.Len()))
-			if v != net.Sink && net.Alive(v) {
-				dst = v
-				break
-			}
-		}
-		if dst == radio.BroadcastID {
+		dst, ok := net.randomLiveNode(destRNG, 50*net.Dep.Len())
+		if !ok {
 			res.Skipped++
 			if err := net.Run(opts.Interval); err != nil {
 				return nil, err
@@ -405,6 +377,42 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 	return res, nil
 }
 
+// emitDeliveries registers a delivered hook on every non-sink control
+// stack: each hook publishes a run-layer delivery event onto the bus,
+// which the delivery sink (and an optional trace collector) consume.
+func (n *Net) emitDeliveries() {
+	for i, st := range n.Stacks {
+		id := radio.NodeID(i)
+		if id == n.Sink || st.Ctrl == nil {
+			continue
+		}
+		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
+			n.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
+				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
+		})
+	}
+}
+
+// randomLiveNode draws uniformly random nodes from rng until one is a live
+// non-sink node, giving up after tries draws.
+func (n *Net) randomLiveNode(rng *rand.Rand, tries int) (radio.NodeID, bool) {
+	for ; tries > 0; tries-- {
+		if v := radio.NodeID(rng.IntN(n.Dep.Len())); v != n.Sink && n.Alive(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// churnSpacing returns the probe interval that spreads k churn events
+// evenly over a phase of packets probes (0: no churn).
+func churnSpacing(packets, k int) int {
+	if k <= 0 {
+		return 0
+	}
+	return max(1, packets/(k+1))
+}
+
 // deliverySink indexes run-layer delivery events by operation id: the
 // first arrival per op is the Fig-10 one-way latency sample.
 type deliverySink struct {
@@ -420,29 +428,20 @@ func (s *deliverySink) Consume(ev telemetry.Event) {
 	}
 }
 
-// mergeControlResults merges per-seed control results in slice order; the
+// MergeControlResults merges per-seed control results in slice order; the
 // caller guarantees that order is the seed order regardless of which
 // worker finished first, keeping the merge deterministic.
-func mergeControlResults(results []*ControlResult) *ControlResult {
+func MergeControlResults(results []*ControlResult) *ControlResult {
 	var merged *ControlResult
 	var txSum, dutySum float64
-	// Telemetry events are concatenated in seed order, each tagged with
-	// its replication index, so a parallel replication's merged stream is
-	// byte-identical to the serial one.
-	var events []telemetry.Event
+	events := mergeEvents(results, func(r *ControlResult) []telemetry.Event { return r.Events })
 	var convs []*obs.Report
-	for ri, res := range results {
-		for _, ev := range res.Events {
-			ev.Run = ri
-			events = append(events, ev)
-		}
-		if res.Convergence != nil {
-			convs = append(convs, res.Convergence)
-		}
-	}
 	for _, res := range results {
 		txSum += res.TxPerPacket
 		dutySum += res.AvgDutyCycle
+		if res.Convergence != nil {
+			convs = append(convs, res.Convergence)
+		}
 		if merged == nil {
 			merged = res
 			continue
@@ -473,8 +472,8 @@ func mergeControlResults(results []*ControlResult) *ControlResult {
 	return merged
 }
 
-// mergeCodingResults merges per-seed coding results in slice order.
-func mergeCodingResults(results []*CodingResult) *CodingResult {
+// MergeCodingResults merges per-seed coding results in slice order.
+func MergeCodingResults(results []*CodingResult) *CodingResult {
 	var merged *CodingResult
 	var ratioSum, convSum float64
 	for _, res := range results {
@@ -486,9 +485,7 @@ func mergeCodingResults(results []*CodingResult) *CodingResult {
 		}
 		merged.CodeLenByHop.Merge(res.CodeLenByHop)
 		merged.ChildrenByHop.Merge(res.ChildrenByHop)
-		for _, v := range res.ConvergenceBeacons.Values() {
-			merged.ConvergenceBeacons.Add(v)
-		}
+		merged.ConvergenceBeacons.Merge(res.ConvergenceBeacons)
 		merged.ReverseVsCTP.Merge(res.ReverseVsCTP)
 	}
 	if merged == nil {
@@ -497,17 +494,4 @@ func mergeCodingResults(results []*CodingResult) *CodingResult {
 	merged.HopRatio = ratioSum / float64(len(results))
 	merged.Converged = convSum / float64(len(results))
 	return merged
-}
-
-// RunControlStudySeeds runs the study across several seeds (fresh topology
-// and channel per seed) and merges the results, reducing single-run
-// variance the way the paper averages over at least 5 runs. Replications
-// run serially; use Replicator for the parallel version.
-func RunControlStudySeeds(build func(seed uint64) Scenario, proto Proto, opts ControlOpts, seeds []uint64) (*ControlResult, error) {
-	return Replicator{Workers: 1}.ControlStudy(build, proto, opts, seeds)
-}
-
-// RunCodingStudySeeds merges coding studies over several seeds.
-func RunCodingStudySeeds(build func(seed uint64) Scenario, dur time.Duration, seeds []uint64) (*CodingResult, error) {
-	return Replicator{Workers: 1}.CodingStudy(build, dur, seeds)
 }

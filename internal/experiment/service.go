@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"teleadjust/internal/cmdsvc"
-	"teleadjust/internal/sim"
 	"teleadjust/internal/sink"
 	"teleadjust/internal/stats"
 	"teleadjust/internal/telemetry"
-	"teleadjust/internal/workload"
 )
 
 // ServiceOpts tunes a command-service study: an open-loop offered-load
@@ -19,28 +17,17 @@ import (
 // cache, and backpressure on — so every row reports the service's win
 // over the baseline at identical offered load.
 type ServiceOpts struct {
-	// Warmup lets the tree, codes, and registries converge before the
-	// workload starts.
-	Warmup time.Duration
-	// Ops is the number of control operations per sub-run.
-	Ops int
-	// Rates are the open-loop offered rates (operations per second),
-	// normally a ramp ending past the baseline's saturation point.
-	Rates []float64
-	// Dist selects the destination distribution (see throughputDist).
-	Dist string
-
-	// Scheduler knobs, applied identically to both sub-runs. Buffered
-	// commands hold their scheduler slots, so batches can only grow to
-	// min(Window, MaxBatch) members — and to min(PerGroup, MaxBatch)
-	// when the members share one serialization group. The window timer
-	// still flushes whatever accumulated, so smaller limits shrink
-	// batches rather than stall them.
-	Window    int
-	PerGroup  int
-	GroupBits int
-	Retries   int
-	OpBudget  time.Duration
+	// LoadOpts apply identically to both sub-runs; Ops counts the
+	// operations of one sub-run, and Rates are normally a ramp ending past
+	// the baseline's saturation point. Buffered commands hold their
+	// scheduler slots, so batches can only grow to min(Window, MaxBatch)
+	// members — and to min(PerGroup, MaxBatch) when the members share one
+	// serialization group. The window timer still flushes whatever
+	// accumulated, so smaller limits shrink batches rather than stall them.
+	// Trace collects baseline sub-run events into EventsBase
+	// (byte-comparable to an open-loop throughput study) and service
+	// sub-run events — including svc.batch spans — into EventsSvc.
+	LoadOpts
 
 	// Service knobs (the batching sub-run only).
 	BatchWindow time.Duration
@@ -51,13 +38,6 @@ type ServiceOpts struct {
 	QueueDepth  int
 	HighWater   int
 	Policy      string // "reject" or "delay"
-
-	// MaxRun caps each sub-run's workload phase in simulated time.
-	MaxRun time.Duration
-	// Trace collects sink-layer telemetry: baseline sub-run events into
-	// EventsBase (byte-comparable to an open-loop throughput study) and
-	// service sub-run events — including svc.batch spans — into EventsSvc.
-	Trace bool
 }
 
 // DefaultServiceOpts returns a two-point ramp with batching, caching, and
@@ -73,14 +53,17 @@ type ServiceOpts struct {
 // batching opportunities.
 func DefaultServiceOpts() ServiceOpts {
 	return ServiceOpts{
-		Warmup:      4 * time.Minute,
-		Ops:         120,
-		Rates:       []float64{0.5, 1.8},
-		Dist:        "hotspot",
-		Window:      16,
-		PerGroup:    8,
-		GroupBits:   6,
-		Retries:     1,
+		LoadOpts: LoadOpts{
+			Warmup:    4 * time.Minute,
+			Ops:       120,
+			Rates:     []float64{0.5, 1.8},
+			Dist:      "hotspot",
+			Window:    16,
+			PerGroup:  8,
+			GroupBits: 6,
+			Retries:   1,
+			MaxRun:    30 * time.Minute,
+		},
 		BatchWindow: 500 * time.Millisecond,
 		BatchBits:   3,
 		MaxBatch:    16,
@@ -89,7 +72,6 @@ func DefaultServiceOpts() ServiceOpts {
 		QueueDepth:  128,
 		HighWater:   6,
 		Policy:      "delay",
-		MaxRun:      30 * time.Minute,
 	}
 }
 
@@ -197,91 +179,39 @@ type ServiceResult struct {
 
 // subRunMetrics is what one sub-run hands back to the point assembler.
 type subRunMetrics struct {
-	offered    float64
-	goodput    float64
-	ok         int
-	failed     int
-	shed       int
-	delayed    int
-	unresolved int
-	latency    *stats.Series
-	batch      cmdsvc.BatcherStats
-	cache      cmdsvc.CacheStats
-	events     []telemetry.Event
+	*loadRun
+	failed  int
+	shed    int
+	delayed int
+	latency *stats.Series
+	batch   cmdsvc.BatcherStats
+	cache   cmdsvc.CacheStats
 }
 
-// runServicePoint drives one sub-run: fresh network, warmup, a command
-// service over the sink scheduler, and an open-loop Poisson workload at
-// the point's rate. svcCfg zero-valued gives the transparent baseline.
+// runServicePoint drives one sub-run: an open-loop Poisson workload at
+// the point's rate through a command service over the sink scheduler.
+// The load driver derives the same stream the throughput study does for
+// this point index, so the baseline sub-run is an exact open-loop replay.
+// svcCfg zero-valued gives the transparent baseline.
 func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg cmdsvc.Config, ticketBase uint32) (*subRunMetrics, error) {
-	net, err := Build(scn.config(proto))
+	var svc *cmdsvc.Service
+	run, err := opts.runPoint(scn, proto, pi, 0, ticketBase, func(net *Net, cfg sink.Config) commandPlane {
+		svc = cmdsvc.New(net.Eng, net.SinkCtrl(), cfg, svcCfg)
+		svc.AttachFaults(net.FaultInjector())
+		return svc
+	})
 	if err != nil {
 		return nil, err
 	}
-	var collector *telemetry.Collector
-	if opts.Trace {
-		collector = telemetry.NewCollector()
-		net.Bus.Subscribe(collector, telemetry.LayerSink)
+	m := &subRunMetrics{
+		loadRun: run,
+		latency: &stats.Series{},
+		batch:   svc.BatcherStats(),
+		cache:   svc.CacheStats(),
 	}
-	if scn.OnNetBuilt != nil {
-		scn.OnNetBuilt(net)
-	}
-	net.Start()
-	if err := net.Run(opts.Warmup); err != nil {
-		return nil, err
-	}
-
-	dist, err := throughputDist(net, opts.Dist)
-	if err != nil {
-		return nil, err
-	}
-
-	schedCfg := sink.Config{
-		Window:     opts.Window,
-		PerGroup:   opts.PerGroup,
-		GroupBits:  opts.GroupBits,
-		Retries:    opts.Retries,
-		OpBudget:   opts.OpBudget,
-		TicketBase: ticketBase,
-	}
-	svc := cmdsvc.New(net.Eng, net.SinkCtrl(), schedCfg, svcCfg)
-	svc.SetTelemetry(net.Metrics, net.Bus, net.Sink)
-	if te := net.SinkTele(); te != nil {
-		svc.SetCoder(te.DstCode)
-	}
-	svc.AttachFaults(net.FaultInjector())
-
-	// The same stream the throughput study derives for this point index:
-	// identical destinations and arrival gaps, so the baseline sub-run is
-	// an exact open-loop replay.
-	rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(pi))
-	gen := workload.NewOpenLoop(net.Eng, svc, dist, rng, opts.Rates[pi], opts.Ops)
-
-	maxRun := opts.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Minute
-	}
-	start := net.Eng.Now()
-	gen.Start()
-	for !gen.Done() && net.Eng.Now()-start < maxRun {
-		chunk := 30 * time.Second
-		if left := maxRun - (net.Eng.Now() - start); left < chunk {
-			chunk = left
-		}
-		if err := net.Run(chunk); err != nil {
-			return nil, err
-		}
-	}
-	elapsed := net.Eng.Now() - start
-	if gen.Done() && gen.FinishedAt() > start {
-		elapsed = gen.FinishedAt() - start
-	}
-
-	m := &subRunMetrics{latency: &stats.Series{}}
-	for _, o := range gen.Outcomes() {
+	for _, o := range run.outcomes {
 		switch {
 		case o.OK:
-			m.ok++
 			m.latency.Add(o.Total().Seconds())
 		case errors.Is(o.Err, cmdsvc.ErrShed):
 			m.shed++
@@ -289,18 +219,8 @@ func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg
 			m.failed++
 		}
 	}
-	m.unresolved = opts.Ops - len(gen.Outcomes())
-	if secs := elapsed.Seconds(); secs > 0 {
-		m.offered = float64(len(gen.Outcomes())) / secs
-		m.goodput = float64(m.ok) / secs
-	}
 	for _, tn := range svc.Tenants() {
 		m.delayed += int(tn.Delayed)
-	}
-	m.batch = svc.BatcherStats()
-	m.cache = svc.CacheStats()
-	if collector != nil {
-		m.events = collector.Events()
 	}
 	return m, nil
 }
@@ -342,13 +262,10 @@ func RunServiceStudy(scn Scenario, proto Proto, opts ServiceOpts) (*ServiceResul
 		} else {
 			// The point carries two latency series; give the reused
 			// sub-run its own copy so a later merge cannot double-pool.
-			cl := &stats.Series{}
-			for _, v := range base.latency.Values() {
-				cl.Add(v)
-			}
 			svc = &subRunMetrics{}
 			*svc = *base
-			svc.latency = cl
+			svc.latency = &stats.Series{}
+			svc.latency.Merge(base.latency)
 		}
 		pt := &ServicePoint{
 			Label:          fmt.Sprintf("rate=%.2f", rate),
@@ -379,21 +296,12 @@ func RunServiceStudy(scn Scenario, proto Proto, opts ServiceOpts) (*ServiceResul
 	return res, nil
 }
 
-// mergeServiceResults merges per-seed studies point-by-point in slice
+// MergeServiceResults merges per-seed studies point-by-point in slice
 // (seed) order: counters sum, sample series pool, and rates average.
-func mergeServiceResults(results []*ServiceResult) *ServiceResult {
+func MergeServiceResults(results []*ServiceResult) *ServiceResult {
 	var merged *ServiceResult
-	var eventsBase, eventsSvc []telemetry.Event
-	for ri, res := range results {
-		for _, ev := range res.EventsBase {
-			ev.Run = ri
-			eventsBase = append(eventsBase, ev)
-		}
-		for _, ev := range res.EventsSvc {
-			ev.Run = ri
-			eventsSvc = append(eventsSvc, ev)
-		}
-	}
+	eventsBase := mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsBase })
+	eventsSvc := mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsSvc })
 	n := float64(len(results))
 	for _, res := range results {
 		if merged == nil {
@@ -419,12 +327,8 @@ func mergeServiceResults(results []*ServiceResult) *ServiceResult {
 			m.BatchedCmds += pt.BatchedCmds
 			m.CacheHits += pt.CacheHits
 			m.CacheMisses += pt.CacheMisses
-			for _, v := range pt.LatencyBase.Values() {
-				m.LatencyBase.Add(v)
-			}
-			for _, v := range pt.LatencySvc.Values() {
-				m.LatencySvc.Add(v)
-			}
+			m.LatencyBase.Merge(pt.LatencyBase)
+			m.LatencySvc.Merge(pt.LatencySvc)
 		}
 	}
 	if merged == nil {
@@ -441,25 +345,4 @@ func mergeServiceResults(results []*ServiceResult) *ServiceResult {
 	merged.EventsBase = eventsBase
 	merged.EventsSvc = eventsSvc
 	return merged
-}
-
-// ServiceStudy runs RunServiceStudy once per seed (fresh topology and
-// channel per seed) and merges the studies in seed order.
-func (r Replicator) ServiceStudy(build func(seed uint64) Scenario, proto Proto, opts ServiceOpts, seeds []uint64) (*ServiceResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*ServiceResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunServiceStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeServiceResults(results), nil
 }

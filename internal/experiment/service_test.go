@@ -151,7 +151,7 @@ func TestServiceReplicationDeterministic(t *testing.T) {
 	opts.Trace = true
 
 	render := func(workers int) ([]byte, []byte, []byte) {
-		res, err := Replicator{Workers: workers}.ServiceStudy(smallScenario, ProtoTele, opts, seeds)
+		res, err := Replicate(Replicator{Workers: workers}, seeds, serviceRun(smallScenario, ProtoTele, opts), MergeServiceResults)
 		if err != nil {
 			t.Fatal(err)
 		}

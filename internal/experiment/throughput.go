@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"teleadjust/internal/core"
 	"teleadjust/internal/ctp"
 	"teleadjust/internal/radio"
 	"teleadjust/internal/sim"
@@ -13,29 +14,23 @@ import (
 	"teleadjust/internal/workload"
 )
 
-// ThroughputOpts tunes a throughput study: a sweep of offered load
-// against the sink command plane, one fresh network per load point.
-type ThroughputOpts struct {
+// LoadOpts are the knobs the throughput and service studies share: each
+// load point builds a fresh network, converges it, and drives Ops control
+// operations through the sink command plane.
+type LoadOpts struct {
 	// Warmup lets the tree, codes, and registries converge before the
 	// workload starts.
 	Warmup time.Duration
 	// Ops is the number of control operations per load point.
 	Ops int
-	// Mode selects the loop discipline: "closed" (fixed concurrency,
-	// sweeps Concurrency) or "open" (Poisson arrivals, sweeps Rates).
-	Mode string
-	// Concurrency are the closed-loop widths to sweep; each width also
-	// sets the scheduler's admission window, so the sweep measures how the
-	// command plane scales with sink-side parallelism.
-	Concurrency []int
 	// Rates are the open-loop offered rates (operations per second).
 	Rates []float64
 	// Dist selects the destination distribution: "uniform",
 	// "hotspot" (bias 80% of operations onto the largest hop-1 subtree),
 	// or "depth" (weight by CTP hop count).
 	Dist string
-	// Window is the open-loop admission window (closed mode derives the
-	// window from the swept concurrency).
+	// Window is the sink scheduler's open-loop admission window (a
+	// closed-loop sweep uses each swept concurrency instead).
 	Window int
 	// PerGroup caps concurrent in-flight operations per shared-prefix
 	// subtree group; GroupBits sets the prefix depth (see sink.GroupKey).
@@ -49,24 +44,39 @@ type ThroughputOpts struct {
 	// a collapsed network cannot hang the study.
 	MaxRun time.Duration
 	// Trace collects the sink-layer command-plane events of every load
-	// point into ThroughputResult.Events (seed-merge safe).
+	// point into the result (seed-merge safe).
 	Trace bool
+}
+
+// ThroughputOpts tunes a throughput study: a sweep of offered load
+// against the sink command plane, one fresh network per load point.
+type ThroughputOpts struct {
+	LoadOpts
+	// Mode selects the loop discipline: "closed" (fixed concurrency,
+	// sweeps Concurrency) or "open" (Poisson arrivals, sweeps Rates).
+	Mode string
+	// Concurrency are the closed-loop widths to sweep; each width also
+	// sets the scheduler's admission window, so the sweep measures how the
+	// command plane scales with sink-side parallelism.
+	Concurrency []int
 }
 
 // DefaultThroughputOpts returns a closed-loop sweep over 1..8-way
 // concurrency with moderate per-point cost.
 func DefaultThroughputOpts() ThroughputOpts {
 	return ThroughputOpts{
-		Warmup:      4 * time.Minute,
-		Ops:         40,
+		LoadOpts: LoadOpts{
+			Warmup:    4 * time.Minute,
+			Ops:       40,
+			Dist:      "uniform",
+			Window:    8,
+			PerGroup:  1,
+			GroupBits: 6,
+			Retries:   1,
+			MaxRun:    30 * time.Minute,
+		},
 		Mode:        "closed",
 		Concurrency: []int{1, 2, 4, 8},
-		Dist:        "uniform",
-		Window:      8,
-		PerGroup:    1,
-		GroupBits:   6,
-		Retries:     1,
-		MaxRun:      30 * time.Minute,
 	}
 }
 
@@ -180,6 +190,9 @@ func (o ThroughputOpts) points() ([]string, error) {
 		}
 		labels := make([]string, len(o.Concurrency))
 		for i, c := range o.Concurrency {
+			if c < 1 {
+				return nil, fmt.Errorf("experiment: closed-loop concurrency %d, want >= 1", c)
+			}
 			labels[i] = fmt.Sprintf("conc=%d", c)
 		}
 		return labels, nil
@@ -207,10 +220,6 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 	if err != nil {
 		return nil, err
 	}
-	maxRun := opts.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Minute
-	}
 	res := &ThroughputResult{
 		Proto:    proto.String(),
 		Scenario: scn.Name,
@@ -225,84 +234,29 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 	}
 
 	for pi, label := range labels {
-		net, err := Build(scn.config(proto))
+		conc := 0
+		if res.Mode == "closed" {
+			conc = opts.Concurrency[pi]
+		}
+		var sched *sink.Scheduler
+		run, err := opts.runPoint(scn, proto, pi, conc, uint32(pi)<<20, func(net *Net, cfg sink.Config) commandPlane {
+			sched = sink.New(net.Eng, net.SinkCtrl(), cfg)
+			return sched
+		})
 		if err != nil {
 			return nil, err
-		}
-		var collector *telemetry.Collector
-		if opts.Trace {
-			collector = telemetry.NewCollector()
-			net.Bus.Subscribe(collector, telemetry.LayerSink)
-		}
-		if scn.OnNetBuilt != nil {
-			scn.OnNetBuilt(net)
-		}
-		net.Start()
-		if err := net.Run(opts.Warmup); err != nil {
-			return nil, err
-		}
-
-		dist, err := throughputDist(net, opts.Dist)
-		if err != nil {
-			return nil, err
-		}
-
-		cfg := sink.Config{
-			Window:    opts.Window,
-			PerGroup:  opts.PerGroup,
-			GroupBits: opts.GroupBits,
-			Retries:   opts.Retries,
-			OpBudget:  opts.OpBudget,
-			// Disjoint ticket ranges per load point keep the merged
-			// telemetry spans of the sweep from colliding.
-			TicketBase: uint32(pi) << 20,
-		}
-		closed := res.Mode == "closed"
-		if closed {
-			// The swept knob: the admission window is the concurrency level.
-			cfg.Window = opts.Concurrency[pi]
-		}
-		sched := sink.New(net.Eng, net.SinkCtrl(), cfg)
-		sched.SetTelemetry(net.Metrics, net.Bus, net.Sink)
-		if te := net.SinkTele(); te != nil {
-			sched.SetCoder(te.DstCode)
-		}
-
-		// One decorrelated stream per load point, so adding a point never
-		// perturbs the destinations of the others.
-		rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(pi))
-		var gen workload.Generator
-		if closed {
-			gen = workload.NewClosedLoop(net.Eng, sched, dist, rng, opts.Concurrency[pi], opts.Ops)
-		} else {
-			gen = workload.NewOpenLoop(net.Eng, sched, dist, rng, opts.Rates[pi], opts.Ops)
-		}
-
-		start := net.Eng.Now()
-		gen.Start()
-		for !gen.Done() && net.Eng.Now()-start < maxRun {
-			chunk := 30 * time.Second
-			if left := maxRun - (net.Eng.Now() - start); left < chunk {
-				chunk = left
-			}
-			if err := net.Run(chunk); err != nil {
-				return nil, err
-			}
-		}
-
-		elapsed := net.Eng.Now() - start
-		if gen.Done() && gen.FinishedAt() > start {
-			elapsed = gen.FinishedAt() - start
 		}
 		pt := &ThroughputPoint{
-			Label:     label,
-			Ops:       opts.Ops,
-			Latency:   &stats.Series{},
-			QueueWait: &stats.Series{},
+			Label:      label,
+			Offered:    run.offered,
+			Goodput:    run.goodput,
+			Ops:        opts.Ops,
+			Retries:    int(sched.Stats().Retried),
+			Unresolved: run.unresolved,
+			Latency:    &stats.Series{},
+			QueueWait:  &stats.Series{},
 		}
-		st := sched.Stats()
-		pt.Retries = int(st.Retried)
-		for _, o := range gen.Outcomes() {
+		for _, o := range run.outcomes {
 			switch {
 			case o.OK:
 				pt.OK++
@@ -318,30 +272,130 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 				pt.Unroutable++
 			}
 		}
-		pt.Unresolved = opts.Ops - len(gen.Outcomes())
-		if secs := elapsed.Seconds(); secs > 0 {
-			pt.Offered = float64(len(gen.Outcomes())) / secs
-			pt.Goodput = float64(pt.OK) / secs
-		}
 		res.Points = append(res.Points, pt)
-		if collector != nil {
-			res.Events = append(res.Events, collector.Events()...)
-		}
+		res.Events = append(res.Events, run.events...)
 	}
 	return res, nil
 }
 
-// mergeThroughputResults merges per-seed sweeps point-by-point in slice
-// (seed) order: counters sum, sample series pool, and rates average.
-func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
-	var merged *ThroughputResult
-	var events []telemetry.Event
-	for ri, res := range results {
-		for _, ev := range res.Events {
-			ev.Run = ri
-			events = append(events, ev)
+// commandPlane is the sink-side admission front a load point drives: the
+// plain scheduler, or the command service wrapping one.
+type commandPlane interface {
+	workload.Submitter
+	SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID)
+	SetCoder(fn func(radio.NodeID) (core.PathCode, bool))
+}
+
+// loadRun is the workload phase of one load point.
+type loadRun struct {
+	outcomes   []sink.Outcome
+	ok         int
+	unresolved int
+	// offered and goodput are resolved and successful operations per
+	// second of workload phase.
+	offered float64
+	goodput float64
+	events  []telemetry.Event
+}
+
+// runPoint drives load point pi of a sweep: a fresh network built from
+// scn and converged for Warmup, then Ops operations through the command
+// plane that admit assembles over the point's scheduler config, until
+// every operation resolved or MaxRun passed. conc > 0 runs a closed loop
+// of that width, which is also the admission window; otherwise an open
+// loop at Rates[pi].
+func (o LoadOpts) runPoint(scn Scenario, proto Proto, pi, conc int, ticketBase uint32, admit func(*Net, sink.Config) commandPlane) (*loadRun, error) {
+	net, err := Build(scn.config(proto))
+	if err != nil {
+		return nil, err
+	}
+	var collector *telemetry.Collector
+	if o.Trace {
+		collector = telemetry.NewCollector()
+		net.Bus.Subscribe(collector, telemetry.LayerSink)
+	}
+	if scn.OnNetBuilt != nil {
+		scn.OnNetBuilt(net)
+	}
+	net.Start()
+	if err := net.Run(o.Warmup); err != nil {
+		return nil, err
+	}
+	dist, err := throughputDist(net, o.Dist)
+	if err != nil {
+		return nil, err
+	}
+
+	cfg := sink.Config{
+		Window:    o.Window,
+		PerGroup:  o.PerGroup,
+		GroupBits: o.GroupBits,
+		Retries:   o.Retries,
+		OpBudget:  o.OpBudget,
+		// Disjoint ticket ranges per load point keep the merged
+		// telemetry spans of the sweep from colliding.
+		TicketBase: ticketBase,
+	}
+	if conc > 0 {
+		cfg.Window = conc
+	}
+	plane := admit(net, cfg)
+	plane.SetTelemetry(net.Metrics, net.Bus, net.Sink)
+	if te := net.SinkTele(); te != nil {
+		plane.SetCoder(te.DstCode)
+	}
+
+	// One decorrelated stream per load point, so adding a point never
+	// perturbs the destinations of the others.
+	rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(pi))
+	var gen workload.Generator
+	if conc > 0 {
+		gen = workload.NewClosedLoop(net.Eng, plane, dist, rng, conc, o.Ops)
+	} else {
+		gen = workload.NewOpenLoop(net.Eng, plane, dist, rng, o.Rates[pi], o.Ops)
+	}
+
+	maxRun := o.MaxRun
+	if maxRun <= 0 {
+		maxRun = 30 * time.Minute
+	}
+	start := net.Eng.Now()
+	gen.Start()
+	for !gen.Done() && net.Eng.Now()-start < maxRun {
+		chunk := 30 * time.Second
+		if left := maxRun - (net.Eng.Now() - start); left < chunk {
+			chunk = left
+		}
+		if err := net.Run(chunk); err != nil {
+			return nil, err
 		}
 	}
+	elapsed := net.Eng.Now() - start
+	if gen.Done() && gen.FinishedAt() > start {
+		elapsed = gen.FinishedAt() - start
+	}
+
+	run := &loadRun{outcomes: gen.Outcomes(), unresolved: o.Ops - len(gen.Outcomes())}
+	for _, oc := range run.outcomes {
+		if oc.OK {
+			run.ok++
+		}
+	}
+	if secs := elapsed.Seconds(); secs > 0 {
+		run.offered = float64(len(run.outcomes)) / secs
+		run.goodput = float64(run.ok) / secs
+	}
+	if collector != nil {
+		run.events = collector.Events()
+	}
+	return run, nil
+}
+
+// MergeThroughputResults merges per-seed sweeps point-by-point in slice
+// (seed) order: counters sum, sample series pool, and rates average.
+func MergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
+	var merged *ThroughputResult
+	events := mergeEvents(results, func(r *ThroughputResult) []telemetry.Event { return r.Events })
 	n := float64(len(results))
 	for _, res := range results {
 		if merged == nil {
@@ -360,12 +414,8 @@ func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
 			m.Expired += pt.Expired
 			m.Retries += pt.Retries
 			m.Unresolved += pt.Unresolved
-			for _, v := range pt.Latency.Values() {
-				m.Latency.Add(v)
-			}
-			for _, v := range pt.QueueWait.Values() {
-				m.QueueWait.Add(v)
-			}
+			m.Latency.Merge(pt.Latency)
+			m.QueueWait.Merge(pt.QueueWait)
 		}
 	}
 	if merged == nil {
@@ -379,25 +429,4 @@ func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
 	}
 	merged.Events = events
 	return merged
-}
-
-// ThroughputStudy runs RunThroughputStudy once per seed (fresh topology
-// and channel per seed) and merges the sweeps in seed order.
-func (r Replicator) ThroughputStudy(build func(seed uint64) Scenario, proto Proto, opts ThroughputOpts, seeds []uint64) (*ThroughputResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*ThroughputResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunThroughputStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeThroughputResults(results), nil
 }

@@ -105,6 +105,14 @@ func (s *Series) P95() float64 { return s.Percentile(95) }
 // P99 returns the 99th percentile by nearest-rank (0 for empty series).
 func (s *Series) P99() float64 { return s.Percentile(99) }
 
+// Merge appends all samples of other, in order.
+func (s *Series) Merge(other *Series) {
+	if other == nil {
+		return
+	}
+	s.vals = append(s.vals, other.vals...)
+}
+
 // Values returns a copy of the samples.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.vals))

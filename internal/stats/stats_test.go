@@ -93,6 +93,26 @@ func TestPercentileHelpersSingleElement(t *testing.T) {
 	}
 }
 
+func TestSeriesMerge(t *testing.T) {
+	var s Series
+	s.Add(1)
+	s.Merge(&Series{})
+	s.Merge(nil)
+	if got := s.Values(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("merge of empty source changed the series: %v", got)
+	}
+	var src Series
+	src.Add(2)
+	src.Add(3)
+	s.Merge(&src)
+	if got := s.Values(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("merged values = %v, want [1 2 3]", got)
+	}
+	if src.Count() != 2 {
+		t.Fatalf("merge changed its source: %d samples", src.Count())
+	}
+}
+
 func TestByKey(t *testing.T) {
 	b := NewByKey()
 	b.Add(2, 10)
