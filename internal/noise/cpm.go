@@ -32,62 +32,46 @@ const (
 // indistinguishable and keeps long idle gaps O(1)).
 const maxCatchUpSteps = 64
 
-// dist is a sparse categorical distribution over quantized noise bins.
-type dist struct {
-	bins   []uint8
-	counts []uint32
-	total  uint32
-}
-
-func (d *dist) add(bin uint8) {
-	for i, b := range d.bins {
-		if b == bin {
-			d.counts[i]++
-			d.total++
-			return
-		}
-	}
-	d.bins = append(d.bins, bin)
-	d.counts = append(d.counts, 1)
-	d.total++
-}
-
-func (d *dist) sample(rng *rand.Rand) uint8 {
-	if d.total == 0 {
-		return quantize(quietFloorDBm) // quiet floor bin
-	}
-	target := rng.Uint32N(d.total)
-	var acc uint32
-	for i, c := range d.counts {
-		acc += c
-		if target < acc {
-			return d.bins[i]
-		}
-	}
-	return d.bins[len(d.bins)-1]
-}
+// noSucc is the successor-table sentinel: the next history's slot is not
+// known in advance and must be resolved by the back-off lookup.
+const noSucc int32 = -1
 
 // patEntry is one bucket of a patTable: a packed history key and its
-// distribution slot in Model.dists (-1 marks an empty bucket). Key and
-// slot share a bucket so a probe touches one cache line, not two.
+// distribution slot in the Model (-1 marks an empty bucket). Key and slot
+// share a bucket so a probe touches one cache line, not two.
 type patEntry struct {
 	key  uint64
 	slot int32
 }
 
 // patTable is an open-addressed hash index from a packed history key to a
-// distribution slot in Model.dists. It replaces the former
-// map[string]*dist: lookups are one multiply-shift hash plus a linear
-// probe over a flat bucket array — no map machinery, no string([]byte)
-// conversion, no per-lookup allocation. Bucket count is always a power
-// of two, so probing wraps with a mask.
+// distribution slot: one multiply-shift hash plus a linear probe over a
+// flat bucket array, no per-lookup allocation. Train sizes it once to at
+// least twice the number of distinct keys its history length can produce,
+// so it never grows and probes stay short. The bucket count is a power of
+// two, so probing wraps with a mask.
 type patTable struct {
 	entries []patEntry
 	mask    uint64
 	n       int
 }
 
-const patTableInitBuckets = 16
+// newPatTable returns a table with room for maxKeys keys at no more than
+// half load.
+func newPatTable(maxKeys int) patTable {
+	if maxKeys == 0 {
+		return patTable{}
+	}
+	size := uint64(2)
+	for size < 2*uint64(maxKeys) {
+		size <<= 1
+	}
+	entries := make([]patEntry, size)
+	for i := range entries {
+		entries[i].slot = -1
+	}
+	return patTable{entries: entries, mask: size - 1}
+}
 
 // hashKey mixes a packed history key (splitmix64 finalizer) so linear
 // probing sees a uniform distribution even for near-identical histories.
@@ -101,7 +85,7 @@ func hashKey(key uint64) uint64 {
 }
 
 // get returns the distribution slot for key, or -1 when the pattern was
-// never seen in training. This is the per-sample hot path.
+// never seen in training.
 func (t *patTable) get(key uint64) int32 {
 	if t.n == 0 {
 		return -1
@@ -116,15 +100,9 @@ func (t *patTable) get(key uint64) int32 {
 	}
 }
 
-// put inserts key→slot, growing at 1/2 load (lookup speed over training
-// memory: probes on the per-sample path stay short). Training-time only.
+// put inserts key→slot. Training-time only; the table was sized for every
+// key it can receive.
 func (t *patTable) put(key uint64, slot int32) {
-	if t.entries == nil {
-		t.entries = newPatBuckets(patTableInitBuckets)
-		t.mask = patTableInitBuckets - 1
-	} else if uint64(t.n+1) > (t.mask+1)/2 {
-		t.grow()
-	}
 	i := hashKey(key) & t.mask
 	for t.entries[i].slot >= 0 {
 		i = (i + 1) & t.mask
@@ -133,43 +111,39 @@ func (t *patTable) put(key uint64, slot int32) {
 	t.n++
 }
 
-func newPatBuckets(size uint64) []patEntry {
-	entries := make([]patEntry, size)
-	for i := range entries {
-		entries[i].slot = -1
-	}
-	return entries
-}
-
-func (t *patTable) grow() {
-	old := t.entries
-	size := (t.mask + 1) * 2
-	t.entries = newPatBuckets(size)
-	t.mask = size - 1
-	for _, e := range old {
-		if e.slot < 0 {
-			continue
-		}
-		j := hashKey(e.key) & t.mask
-		for t.entries[j].slot >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.entries[j] = e
-	}
-}
-
 // Model is a trained CPM noise model. It is immutable after Train and safe
 // to share across all node Sources.
+//
+// Every categorical distribution — one per (history length, pattern) and
+// the marginal — is a slot in one CSR layout: slot s owns the entries
+// off[s]..off[s+1]-1, and entry e holds a quantized bin and cum[e], the
+// running count of its slot up to and including e. A slot's entries keep
+// the order in which training first saw their bins. Sampling draws
+// rng.Uint32N(total) and walks that order, so it consumes the RNG exactly
+// as the map-keyed reference model in the tests does and emits the same
+// samples; that order is part of every pinned trace.
+//
+// succ[e] is the successor table. For an entry of a longest-history slot,
+// it is the slot the back-off lookup resolves once e's bin is appended to
+// the history. Training knows it: the window at trace position i+1 is the
+// successor of the entry (window_i, q[i]), q[i] being the quantized sample
+// at i, and that window is itself a longest-history pattern. A Source that samples such an entry moves to
+// succ[e] without hashing. noSucc marks the rest: entries of shorter
+// histories and of the marginal, and the trace-end entry whose next window
+// training never saw followed by a sample.
 type Model struct {
 	histLens []int
 	// histMask[i] selects the low histLens[i] bins of a packed rolling
 	// history; tables[i] indexes the patterns of that length.
 	histMask []uint64
 	tables   []patTable
-	// dists holds every conditional distribution, addressed by the slot
-	// values stored in tables.
-	dists    []dist
-	marginal dist
+
+	off  []int32
+	bins []uint8
+	cum  []uint32
+	succ []int32
+	// marginal is the slot of the marginal distribution (the last one).
+	marginal int32
 }
 
 // histMaskFor returns the packed-key mask covering hl bins.
@@ -180,43 +154,133 @@ func histMaskFor(hl int) uint64 {
 	return (uint64(1) << (histShift * hl)) - 1
 }
 
+// distinctBound caps a count of windows at the number of distinct
+// sequences of width bins.
+func distinctBound(windows, width int) int {
+	keys := 1
+	for i := 0; i < width && keys < windows; i++ {
+		keys *= quantBins
+	}
+	return min(windows, keys)
+}
+
 // Train builds a CPM model from a noise trace (dBm samples at 1 kHz).
+//
+// It is one pass over the trace. Every store is sized to its bound before
+// the pass, so the allocation count does not depend on the trace length:
+// each slot's distinct bins form a chain through flat entry arrays, and
+// the chains are compacted into the CSR layout at the end.
 func Train(trace []float64) *Model {
-	m := &Model{histLens: defaultHistLens}
-	if m.histLens[0] > maxPackedHist {
+	histLens := defaultHistLens
+	if histLens[0] > maxPackedHist {
 		panic(fmt.Sprintf("noise: history length %d exceeds packed key capacity %d",
-			m.histLens[0], maxPackedHist))
+			histLens[0], maxPackedHist))
 	}
-	m.histMask = make([]uint64, len(m.histLens))
-	for i, hl := range m.histLens {
-		m.histMask[i] = histMaskFor(hl)
+	m := &Model{
+		histLens: histLens,
+		histMask: make([]uint64, len(histLens)),
+		tables:   make([]patTable, len(histLens)),
 	}
-	m.tables = make([]patTable, len(m.histLens))
-	q := make([]uint8, len(trace))
-	for i, v := range trace {
-		q[i] = quantize(v)
+	maxSlots, maxEntries := 0, 0
+	for li, hl := range histLens {
+		m.histMask[li] = histMaskFor(hl)
+		// Every trace position i >= hl offers one window, and with its
+		// sample one (pattern, bin) pair.
+		windows := max(len(trace)-hl, 0)
+		keys := distinctBound(windows, hl)
+		m.tables[li] = newPatTable(keys)
+		maxSlots += keys
+		maxEntries += distinctBound(windows, hl+1)
 	}
+
+	// Training chains: head[s] is slot s's first entry, next[e] the entry
+	// after e in first-seen order (-1 ends a chain).
+	head := make([]int32, maxSlots)
+	next := make([]int32, maxEntries)
+	bins := make([]uint8, maxEntries)
+	counts := make([]uint32, maxEntries)
+	succ := make([]int32, maxEntries)
+	var nSlots, nEntries int32
+
+	var margCount [quantBins]uint32
+	var margOrder [quantBins]uint8
+	nMarg := 0
+
 	// packed carries the most recent bins of the trace, newest in the low
-	// byte, so packed&histMask[li] is exactly the length-hl window that
-	// used to be string(q[i-hl:i]).
+	// byte, so packed&histMask[li] is the length-hl window before sample i.
 	var packed uint64
-	for i, bin := range q {
-		m.marginal.add(bin)
-		for li, hl := range m.histLens {
+	// prevLong is the longest-history entry counted at the previous
+	// position; this position's longest-history slot is its successor.
+	prevLong := noSucc
+	for i, v := range trace {
+		bin := quantize(v)
+		if margCount[bin] == 0 {
+			margOrder[nMarg] = bin
+			nMarg++
+		}
+		margCount[bin]++
+		for li, hl := range histLens {
 			if i < hl {
 				continue
 			}
+			t := &m.tables[li]
 			key := packed & m.histMask[li]
-			slot := m.tables[li].get(key)
+			slot := t.get(key)
 			if slot < 0 {
-				slot = int32(len(m.dists))
-				m.dists = append(m.dists, dist{})
-				m.tables[li].put(key, slot)
+				slot = nSlots
+				nSlots++
+				t.put(key, slot)
+				head[slot] = -1
 			}
-			m.dists[slot].add(bin)
+			e, tail := head[slot], int32(-1)
+			for e >= 0 && bins[e] != bin {
+				tail, e = e, next[e]
+			}
+			if e < 0 {
+				e = nEntries
+				nEntries++
+				bins[e], counts[e], next[e], succ[e] = bin, 0, -1, noSucc
+				if tail < 0 {
+					head[slot] = e
+				} else {
+					next[tail] = e
+				}
+			}
+			counts[e]++
+			if li == 0 {
+				if prevLong >= 0 {
+					succ[prevLong] = slot
+				}
+				prevLong = e
+			}
 		}
 		packed = packed<<histShift | uint64(bin)
 	}
+
+	n := int(nEntries) + nMarg
+	m.off = make([]int32, nSlots+2)
+	m.bins = make([]uint8, n)
+	m.cum = make([]uint32, n)
+	m.succ = make([]int32, n)
+	k := int32(0)
+	for s := int32(0); s < nSlots; s++ {
+		m.off[s] = k
+		var acc uint32
+		for e := head[s]; e >= 0; e = next[e] {
+			acc += counts[e]
+			m.bins[k], m.cum[k], m.succ[k] = bins[e], acc, succ[e]
+			k++
+		}
+	}
+	m.marginal = nSlots
+	m.off[nSlots] = k
+	var acc uint32
+	for _, bin := range margOrder[:nMarg] {
+		acc += margCount[bin]
+		m.bins[k], m.cum[k], m.succ[k] = bin, acc, noSucc
+		k++
+	}
+	m.off[nSlots+1] = k
 	return m
 }
 
@@ -227,6 +291,33 @@ func (m *Model) Patterns() int {
 		return 0
 	}
 	return m.tables[0].n
+}
+
+// resolve is the closest-pattern lookup: the slot of the longest history
+// of packed seen in training, else the marginal.
+func (m *Model) resolve(packed uint64) int32 {
+	for li := range m.tables {
+		if slot := m.tables[li].get(packed & m.histMask[li]); slot >= 0 {
+			return slot
+		}
+	}
+	return m.marginal
+}
+
+// sample draws a bin from slot's distribution and returns it with its
+// successor slot. An empty slot (only the marginal of an empty trace)
+// yields the quiet-floor bin without consuming the RNG.
+func (m *Model) sample(slot int32, rng *rand.Rand) (uint8, int32) {
+	lo, hi := m.off[slot], m.off[slot+1]
+	if lo == hi {
+		return quantize(quietFloorDBm), noSucc
+	}
+	target := rng.Uint32N(m.cum[hi-1])
+	e := lo
+	for m.cum[e] <= target {
+		e++
+	}
+	return m.bins[e], m.succ[e]
 }
 
 func quantize(dbm float64) uint8 {
@@ -246,17 +337,21 @@ func dequantize(bin uint8, rng *rand.Rand) float64 {
 
 // Source is a per-node noise stream driven by a shared Model. It is lazy:
 // ReadAt advances the underlying 1 kHz chain only as far as needed.
+//
+// Each chain step draws one rng.Uint32N for the bin and one rng.Float64
+// to dequantize it, in that order; the successor table changes how the
+// next distribution is found, never which one it is.
 type Source struct {
 	model *Model
 	rng   *rand.Rand
 	// packed is the rolling quantized history, newest bin in the low
-	// byte — the same representation the model's pattern tables key on,
-	// so one mask per history length replaces the former slice-to-string
-	// map key.
+	// byte — the representation the model's pattern tables key on.
 	packed uint64
-	filled int // history bins populated (maxHist after reseed)
-	last   float64
-	step   int64 // chain position, in SamplePeriodMS units
+	// cur is the resolved slot of packed, or noSucc when the next step
+	// must look it up (after a reseed or a step without a successor).
+	cur  int32
+	last float64
+	step int64 // chain position, in SamplePeriodMS units
 }
 
 // NewSource creates an independent noise stream. Different sources should
@@ -269,37 +364,33 @@ func (m *Model) NewSource(rng *rand.Rand) *Source {
 
 // reseed fills the history from the marginal distribution.
 func (s *Source) reseed() {
-	maxHist := s.model.histLens[0]
+	m := s.model
 	var bin uint8
-	for i := 0; i < maxHist; i++ {
-		bin = s.model.marginal.sample(s.rng)
+	for i := 0; i < m.histLens[0]; i++ {
+		bin, _ = m.sample(m.marginal, s.rng)
 		s.packed = s.packed<<histShift | uint64(bin)
 	}
-	s.filled = maxHist
+	s.cur = noSucc
 	s.last = dequantize(bin, s.rng)
 }
 
-// next advances the chain one step using closest-pattern matching.
-func (s *Source) next() float64 {
-	var bin uint8
-	matched := false
-	m := s.model
-	for li, hl := range m.histLens {
-		if hl > s.filled {
-			continue
-		}
-		if slot := m.tables[li].get(s.packed & m.histMask[li]); slot >= 0 {
-			bin = m.dists[slot].sample(s.rng)
-			matched = true
-			break
-		}
+// advance moves the chain one step by closest-pattern matching and
+// returns the new bin. The caller still owes the step's dequantize draw.
+func (s *Source) advance() uint8 {
+	slot := s.cur
+	if slot < 0 {
+		slot = s.model.resolve(s.packed)
 	}
-	if !matched {
-		bin = m.marginal.sample(s.rng)
-	}
+	bin, succ := s.model.sample(slot, s.rng)
 	// Slide history: the shift drops the oldest bin off the top.
 	s.packed = s.packed<<histShift | uint64(bin)
-	s.last = dequantize(bin, s.rng)
+	s.cur = succ
+	return bin
+}
+
+// next advances the chain one step and returns its noise value.
+func (s *Source) next() float64 {
+	s.last = dequantize(s.advance(), s.rng)
 	return s.last
 }
 
@@ -316,8 +407,11 @@ func (s *Source) ReadAt(t time.Duration) float64 {
 		s.reseed()
 		return s.last
 	}
-	for i := int64(0); i < steps; i++ {
-		s.next()
+	// Catch-up steps nobody reads still draw their dequantize Float64, so
+	// the RNG stream matches stepping one at a time.
+	for ; steps > 1; steps-- {
+		s.advance()
+		s.rng.Float64()
 	}
-	return s.last
+	return s.next()
 }

@@ -10,7 +10,7 @@ import (
 // TestBroadcastAllocFree is the alloc contract for the frame hot path: a
 // broadcast delivery — transmission start, per-neighbor air tracking,
 // end-of-air adjudication, tx-done — must not allocate once the medium's
-// pools and per-radio air maps are warm. The path used to cost 20+
+// pools and per-radio air lists are warm. The path used to cost 20+
 // allocations per broadcast (transmission record, end-of-air closure,
 // per-neighbor rxContext, event heap nodes); this pins it at zero.
 func TestBroadcastAllocFree(t *testing.T) {
@@ -35,7 +35,7 @@ func TestBroadcastAllocFree(t *testing.T) {
 		}
 	}
 	// Warm every pool this path touches: one broadcast from each node
-	// sizes the per-radio air maps and the event/transmission free lists.
+	// sizes the per-radio air lists and the event/transmission free lists.
 	for i := 0; i < n; i++ {
 		broadcast(NodeID(i))
 	}

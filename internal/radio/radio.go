@@ -51,9 +51,11 @@ type Radio struct {
 
 	state State
 	// air tracks the received power (mW) of every in-flight transmission
-	// audible at this node, keyed by transmission id. Maintained even
-	// while off so CCA is correct right after waking.
-	air map[uint64]float64
+	// audible at this node, in arrival order. Maintained even while off so
+	// CCA is correct right after waking. Power sums walk it in that fixed
+	// order: float addition does not associate, so a sum over a Go map
+	// could differ by an ulp from one run to the next.
+	air []airPower
 
 	// rx is the in-progress reception context, valid only while rxActive
 	// is set. It is a value field: locking onto a frame used to allocate
@@ -73,6 +75,12 @@ type Radio struct {
 // noiseSource abstracts the CPM source so tests can run without a model.
 type noiseSource interface {
 	ReadAt(t time.Duration) float64
+}
+
+// airPower is one in-flight transmission's received power at a radio.
+type airPower struct {
+	id uint64 // transmission id
+	mw float64
 }
 
 type rxContext struct {
@@ -151,11 +159,17 @@ func (r *Radio) CCABusy() bool {
 	if r.State() == StateOff {
 		return false
 	}
+	return mwToDBm(r.energyMW()) > r.medium.params.CCAThresholdDBm
+}
+
+// energyMW is the total power at the antenna: noise plus every frame on
+// the air, summed in arrival order.
+func (r *Radio) energyMW() float64 {
 	total := r.medium.noiseAt(r.id, r.medium.eng.Now())
-	for _, p := range r.air {
-		total += p
+	for _, a := range r.air {
+		total += a.mw
 	}
-	return mwToDBm(total) > r.medium.params.CCAThresholdDBm
+	return total
 }
 
 // Transmit puts frame f on the air at powerDBm. The handler's OnTxDone
@@ -194,11 +208,8 @@ func (r *Radio) Transmitting() bool { return r.State() == StateTransmitting }
 
 // onAirStart is called by the medium when a transmission begins in range.
 func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
-	if r.air == nil {
-		r.air = make(map[uint64]float64, 8)
-	}
 	mw := dbmToMW(rxPowerDBm)
-	r.air[tx.id] = mw
+	r.air = append(r.air, airPower{id: tx.id, mw: mw})
 	switch r.State() {
 	case StateListening:
 		if rxPowerDBm >= r.medium.params.SensitivityDBm {
@@ -220,9 +231,9 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 // interferenceMW sums audible power excluding the given transmission.
 func (r *Radio) interferenceMW(exclude uint64) float64 {
 	var sum float64
-	for id, p := range r.air {
-		if id != exclude {
-			sum += p
+	for _, a := range r.air {
+		if a.id != exclude {
+			sum += a.mw
 		}
 	}
 	return sum
@@ -230,7 +241,12 @@ func (r *Radio) interferenceMW(exclude uint64) float64 {
 
 // onAirEnd is called by the medium when a transmission leaves the air.
 func (r *Radio) onAirEnd(tx *transmission) {
-	delete(r.air, tx.id)
+	for i, a := range r.air {
+		if a.id == tx.id {
+			r.air = append(r.air[:i], r.air[i+1:]...)
+			break
+		}
+	}
 	if r.State() != StateReceiving || !r.rxActive || r.rx.tx != tx {
 		return
 	}

@@ -217,6 +217,74 @@ func TestCCABusyDuringTransmission(t *testing.T) {
 	}
 }
 
+// TestAirPowerSumsInArrivalOrder pins the order of the air-power sums.
+// Float addition does not associate, so CCA's total and the interference
+// a locked reception sees must add the frames on the air in one fixed
+// order — arrival order — and keep it when a frame in the middle leaves.
+func TestAirPowerSumsInArrivalOrder(t *testing.T) {
+	// Four senders at different distances from node 4; the second
+	// arrival is the shortest frame. The transmit powers are picked so
+	// that summing in reverse order gives a different total, which the
+	// test checks, so it would catch any other order.
+	eng, m := testMedium(t, 5, 4)
+	rx := m.Radio(4)
+	rx.SetOn(true)
+	sizes := []int{100, 20, 90, 110}
+	powers := []float64{-5, -2, -2, 0}
+	for i, size := range sizes {
+		r := m.Radio(NodeID(i))
+		r.SetOn(true)
+		if err := r.Transmit(&Frame{Kind: FrameData, Src: NodeID(i), Size: size}, powers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, wantLen int) {
+		t.Helper()
+		if len(rx.air) != wantLen {
+			t.Fatalf("%s: %d frames on the air, want %d", when, len(rx.air), wantLen)
+		}
+		for i := 1; i < len(rx.air); i++ {
+			if rx.air[i].id <= rx.air[i-1].id {
+				t.Fatalf("%s: air list out of arrival order: %v", when, rx.air)
+			}
+		}
+		noise := rx.medium.noiseAt(rx.id, eng.Now())
+		want, reversed := noise, noise
+		for i := range rx.air {
+			want += rx.air[i].mw
+			reversed += rx.air[len(rx.air)-1-i].mw
+		}
+		if want == reversed {
+			t.Fatalf("%s: reverse-order sum equals arrival-order sum; pick powers that tell them apart", when)
+		}
+		for rep := 0; rep < 50; rep++ {
+			if got := rx.energyMW(); got != want {
+				t.Fatalf("%s: energy %v, arrival-order sum %v", when, got, want)
+			}
+			for _, ex := range rx.air {
+				var wantI float64
+				for _, a := range rx.air {
+					if a.id != ex.id {
+						wantI += a.mw
+					}
+				}
+				if got := rx.interferenceMW(ex.id); got != wantI {
+					t.Fatalf("%s: interference excluding %d = %v, arrival-order sum %v", when, ex.id, got, wantI)
+				}
+			}
+		}
+		if rx.CCABusy() != (mwToDBm(want) > m.Params().CCAThresholdDBm) {
+			t.Fatalf("%s: CCABusy disagrees with the arrival-order total", when)
+		}
+	}
+	check("all on the air", len(sizes))
+	// Run past the end of the shortest frame, the second arrival.
+	if err := eng.Run(m.Params().Airtime(sizes[1]) + time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	check("after the second arrival left", len(sizes)-1)
+}
+
 func TestCollisionCorruptsWeakerFrame(t *testing.T) {
 	// Nodes 0 and 2 both transmit to node 1; equal distances mean SINR ~0dB
 	// for whichever frame node 1 locks onto, which yields PRR ~0.
