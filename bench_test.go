@@ -452,18 +452,18 @@ func BenchmarkCmdSvcBatching(b *testing.B) {
 			b.Fatal(err)
 		}
 		pt := res.Points[len(res.Points)-1]
-		if pt.OKBase == 0 || pt.OKSvc == 0 {
+		if pt.Base.OK == 0 || pt.Svc.OK == 0 {
 			b.Fatalf("no completions: %+v", pt)
 		}
-		if pt.GoodputSvc <= pt.GoodputBase {
+		if pt.Svc.Goodput <= pt.Base.Goodput {
 			b.Fatalf("service goodput %.4f ops/s does not beat baseline %.4f ops/s",
-				pt.GoodputSvc, pt.GoodputBase)
+				pt.Svc.Goodput, pt.Base.Goodput)
 		}
 		if pt.Batches == 0 {
 			b.Fatal("batcher flushed no multi-member carriers")
 		}
-		b.ReportMetric(pt.GoodputBase, "ops/s-base")
-		b.ReportMetric(pt.GoodputSvc, "ops/s-svc")
+		b.ReportMetric(pt.Base.Goodput, "ops/s-base")
+		b.ReportMetric(pt.Svc.Goodput, "ops/s-svc")
 		b.ReportMetric(pt.Speedup(), "x-speedup")
 		b.ReportMetric(pt.CacheHitRate(), "cache-hit")
 	}

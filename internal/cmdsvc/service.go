@@ -123,13 +123,15 @@ func (s *Service) SetCoder(fn func(radio.NodeID) (core.PathCode, bool)) {
 	s.batcher.SetCoder(fn)
 }
 
-// SetTelemetry binds scheduler counters and service events to the
-// registry and bus, and subscribes the route cache (if any) to the
-// invalidation layers.
-func (s *Service) SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID) {
+// SetTelemetry attaches the bus to the scheduler, the batcher and the
+// service's own events, and subscribes the route cache (if any) to the
+// invalidation layers. The first parameter is ignored: it stays only
+// because the benchmark harness under perfbench/ still passes Net.Metrics
+// here, and goes with that harness's next change.
+func (s *Service) SetTelemetry(_ *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID) {
 	s.bus = bus
 	s.node = node
-	s.sched.SetTelemetry(reg, bus, node)
+	s.sched.SetTelemetry(bus, node)
 	s.batcher.SetTelemetry(bus, node)
 	if s.cache != nil && bus != nil {
 		bus.Subscribe(s.cache, telemetry.LayerCore, telemetry.LayerCoding)

@@ -209,7 +209,7 @@ func TestServiceEmitsShedAndDelayEvents(t *testing.T) {
 	bus := telemetry.NewBus(nil)
 	col := &collector{}
 	bus.Subscribe(col, telemetry.LayerSink)
-	svc.SetTelemetry(telemetry.NewRegistry(), bus, 1)
+	svc.SetTelemetry(nil, bus, 1)
 	tn := svc.Tenant("ops")
 	tn.Submit(2, "cmd", nil) // dispatches
 	tn.Submit(3, "cmd", nil) // queues (depth 0 < 1)

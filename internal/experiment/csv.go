@@ -33,26 +33,6 @@ func byKeyRows(b *stats.ByKey, prefix ...string) [][]string {
 	return rows
 }
 
-// WriteByKeyCSV exports a grouped series as CSV rows
-// (key,count,mean,min,max) for external plotting.
-func WriteByKeyCSV(w io.Writer, b *stats.ByKey, keyName, valueName string) error {
-	var rows [][]string
-	for _, k := range b.Keys() {
-		s := b.Get(k)
-		rows = append(rows, []string{strconv.Itoa(k), strconv.Itoa(s.Count()), ftoa(s.Mean()), ftoa(s.Min()), ftoa(s.Max())})
-	}
-	return writeCSV(w, "by-key", []string{keyName, "n", "mean_" + valueName, "min", "max"}, rows)
-}
-
-// WriteScatterCSV exports a scatter cloud as CSV rows (x,y).
-func WriteScatterCSV(w io.Writer, s *stats.Scatter, xName, yName string) error {
-	var rows [][]string
-	for i := range s.Xs {
-		rows = append(rows, []string{ftoa(s.Xs[i]), ftoa(s.Ys[i])})
-	}
-	return writeCSV(w, "scatter", []string{xName, yName}, rows)
-}
-
 // WriteControlCSV exports every per-hop series of a control study with a
 // figure label column, one file for all of Fig 7/8/10.
 func WriteControlCSV(w io.Writer, res *ControlResult) error {
@@ -100,16 +80,16 @@ func WriteServiceCSV(w io.Writer, res *ServiceResult) error {
 	for _, pt := range res.Points {
 		rows = append(rows, []string{res.Proto, res.Scenario, res.Dist, pt.Label,
 			strconv.Itoa(pt.Ops),
-			ftoa(pt.OfferedBase), ftoa(pt.Offered),
-			ftoa(pt.GoodputBase), ftoa(pt.GoodputSvc), ftoa(pt.Speedup()),
-			strconv.Itoa(pt.OKBase), strconv.Itoa(pt.OKSvc),
-			strconv.Itoa(pt.FailedBase), strconv.Itoa(pt.FailedSvc),
-			strconv.Itoa(pt.UnresolvedBase), strconv.Itoa(pt.UnresolvedSvc),
+			ftoa(pt.Base.Offered), ftoa(pt.Svc.Offered),
+			ftoa(pt.Base.Goodput), ftoa(pt.Svc.Goodput), ftoa(pt.Speedup()),
+			strconv.Itoa(pt.Base.OK), strconv.Itoa(pt.Svc.OK),
+			strconv.Itoa(pt.Base.Failed), strconv.Itoa(pt.Svc.Failed),
+			strconv.Itoa(pt.Base.Unresolved), strconv.Itoa(pt.Svc.Unresolved),
 			strconv.Itoa(pt.Shed), strconv.Itoa(pt.Delayed),
 			strconv.Itoa(pt.Batches), strconv.Itoa(pt.BatchedCmds), ftoa(pt.MeanBatch()),
 			strconv.Itoa(pt.CacheHits), strconv.Itoa(pt.CacheMisses), ftoa(pt.CacheHitRate()),
-			ftoa(pt.LatencyBase.P50()), ftoa(pt.LatencySvc.P50()),
-			ftoa(pt.LatencyBase.P95()), ftoa(pt.LatencySvc.P95())})
+			ftoa(pt.Base.Latency.P50()), ftoa(pt.Svc.Latency.P50()),
+			ftoa(pt.Base.Latency.P95()), ftoa(pt.Svc.Latency.P95())})
 	}
 	return writeCSV(w, "service", header, rows)
 }

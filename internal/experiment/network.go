@@ -82,12 +82,14 @@ type Net struct {
 	// operation spans all emit into it. With no subscribers it is
 	// near-free (every emission dies on one mask test).
 	Bus *telemetry.Bus
-	// Metrics is the cross-layer metrics registry: protocol and MAC
-	// counters are bound into it per node, and per-node radio duty-cycle
-	// gauges read the medium directly (so they survive reboots).
+	// Metrics is always nil and nothing reads it. It stays only because
+	// the benchmark harness under perfbench/ still passes it to
+	// cmdsvc.Service.SetTelemetry; it goes with that harness's next
+	// change.
 	Metrics *telemetry.Registry
 
-	cfg Config
+	cfg   Config
+	build Builder
 
 	alive   []bool
 	reboots []int
@@ -139,14 +141,14 @@ func Build(cfg Config) (*Net, error) {
 	}
 	n := cfg.Dep.Len()
 	net := &Net{
-		Eng:     eng,
-		Medium:  med,
-		Dep:     cfg.Dep,
-		Sink:    radio.NodeID(cfg.Dep.Sink),
-		Stacks:  make([]*Stack, n),
-		Bus:     telemetry.NewBus(eng.Now),
-		Metrics: telemetry.NewRegistry(),
-		cfg:     cfg,
+		Eng:    eng,
+		Medium: med,
+		Dep:    cfg.Dep,
+		Sink:   radio.NodeID(cfg.Dep.Sink),
+		Stacks: make([]*Stack, n),
+		Bus:    telemetry.NewBus(eng.Now),
+		cfg:    cfg,
+		build:  build,
 	}
 	// The radio tap costs one callback per frame event, so it is only
 	// installed once something subscribes to the radio layer (the invariant
@@ -155,19 +157,8 @@ func Build(cfg Config) (*Net, error) {
 	net.Bus.OnLayerEnabled(telemetry.LayerRadio, func() {
 		med.SetTraceFn(telemetry.RadioTap(net.Bus))
 	})
-	for i := 0; i < n; i++ {
-		id := radio.NodeID(i)
-		mcfg := cfg.Mac
-		mcfg.AlwaysOn = cfg.Mac.AlwaysOn || id == net.Sink
-		st := &Stack{}
-		st.Mac = mac.New(eng, med.Radio(id), mcfg, sim.DeriveRNG(cfg.Seed, 0x1000+uint64(i)), nil)
-		st.Node = node.New(eng, st.Mac)
-		st.Ctp = ctp.New(st.Node, cfg.Ctp, sim.DeriveRNG(cfg.Seed, 0x2000+uint64(i)), id == net.Sink)
-		if build != nil {
-			st.Ctrl = build(&net.cfg, st.Node, st.Ctp, i)
-		}
-		net.wireTelemetry(st, id)
-		net.Stacks[i] = st
+	for i := range net.Stacks {
+		net.Stacks[i] = net.newStack(radio.NodeID(i))
 	}
 	net.alive = make([]bool, n)
 	for i := range net.alive {
@@ -189,33 +180,31 @@ func Build(cfg Config) (*Net, error) {
 	return net, nil
 }
 
-// telemetrySettable is implemented by stack components that bind their
-// statistics into the registry and emit events onto the bus.
+// telemetrySettable is implemented by control protocols that emit
+// events onto the bus.
 type telemetrySettable interface {
-	SetTelemetry(*telemetry.Registry, *telemetry.Bus)
+	SetTelemetry(*telemetry.Bus)
 }
 
-// wireTelemetry binds a (fresh) stack's counters into the registry and
-// hands it the event bus. The per-node duty-cycle gauge reads the radio
-// through the medium, which survives reboots — it measures the mote's
-// energy history, not the current stack instance's.
-func (n *Net) wireTelemetry(st *Stack, id radio.NodeID) {
-	st.Mac.SetTelemetry(n.Metrics, n.Bus)
-	if ts, ok := st.Ctrl.(telemetrySettable); ok {
-		ts.SetTelemetry(n.Metrics, n.Bus)
+// newStack assembles node id's protocol stack from the node's own seed
+// streams, attached to the bus. Build and RebootNode both use it, so a
+// rebooted node gets exactly the stack it booted with.
+func (n *Net) newStack(id radio.NodeID) *Stack {
+	i := uint64(id)
+	mcfg := n.cfg.Mac
+	mcfg.AlwaysOn = n.cfg.Mac.AlwaysOn || id == n.Sink
+	st := &Stack{}
+	st.Mac = mac.New(n.Eng, n.Medium.Radio(id), mcfg, sim.DeriveRNG(n.cfg.Seed, 0x1000+i), nil)
+	st.Node = node.New(n.Eng, st.Mac)
+	st.Ctp = ctp.New(st.Node, n.cfg.Ctp, sim.DeriveRNG(n.cfg.Seed, 0x2000+i), id == n.Sink)
+	if n.build != nil {
+		st.Ctrl = n.build(&n.cfg, st.Node, st.Ctp, int(id))
 	}
-	r := n.Medium.Radio(id)
-	eng := n.Eng
-	n.Metrics.GaugeFunc(telemetry.LayerRadio, id, "duty-cycle", func() float64 {
-		now := eng.Now()
-		if now == 0 {
-			return 0
-		}
-		return float64(r.OnTime()) / float64(now)
-	})
-	n.Metrics.GaugeFunc(telemetry.LayerRadio, id, "on-time-s", func() float64 {
-		return r.OnTime().Seconds()
-	})
+	st.Mac.SetTelemetry(n.Bus)
+	if ts, ok := st.Ctrl.(telemetrySettable); ok {
+		ts.SetTelemetry(n.Bus)
+	}
+	return st
 }
 
 // Start launches the MAC, the collection substrate, and the control
@@ -300,18 +289,7 @@ func (n *Net) RebootNode(id radio.NodeID) {
 	}
 	i := int(id)
 	n.reboots[i]++
-	mcfg := n.cfg.Mac
-	mcfg.AlwaysOn = n.cfg.Mac.AlwaysOn || id == n.Sink
-	st := &Stack{}
-	st.Mac = mac.New(n.Eng, n.Medium.Radio(id), mcfg, sim.DeriveRNG(n.cfg.Seed, 0x1000+uint64(i)), nil)
-	st.Node = node.New(n.Eng, st.Mac)
-	st.Ctp = ctp.New(st.Node, n.cfg.Ctp, sim.DeriveRNG(n.cfg.Seed, 0x2000+uint64(i)), id == n.Sink)
-	if build, err := builderFor(n.cfg.Protocol); err == nil && build != nil {
-		st.Ctrl = build(&n.cfg, st.Node, st.Ctp, i)
-	}
-	// Re-bind the fresh stack's counters: the registry replaces the dead
-	// stack's bindings, modeling the volatile-state loss of a reboot.
-	n.wireTelemetry(st, id)
+	st := n.newStack(id)
 	n.Stacks[i] = st
 	n.alive[i] = true
 	st.Mac.Start()

@@ -113,16 +113,16 @@ func WriteServiceReport(w io.Writer, res *ServiceResult) {
 		"point", "ops", "base", "service", "speedup", "lat-base", "lat-svc")
 	for _, pt := range res.Points {
 		fmt.Fprintf(w, "%-10s %8d %9.3f/s %9.3f/s %7.2fx %8.2fs %8.2fs\n",
-			pt.Label, pt.Ops, pt.GoodputBase, pt.GoodputSvc, pt.Speedup(),
-			pt.LatencyBase.P50(), pt.LatencySvc.P50())
+			pt.Label, pt.Ops, pt.Base.Goodput, pt.Svc.Goodput, pt.Speedup(),
+			pt.Base.Latency.P50(), pt.Svc.Latency.P50())
 	}
 	fmt.Fprintln(w, "\nservice detail per point:")
 	fmt.Fprintf(w, "%-10s %6s %6s %6s %8s %9s %9s %8s\n",
 		"point", "ok", "shed", "delay", "batches", "meanbatch", "cache-hit", "pending")
 	for _, pt := range res.Points {
 		fmt.Fprintf(w, "%-10s %6d %6d %6d %8d %9.2f %8.1f%% %8d\n",
-			pt.Label, pt.OKSvc, pt.Shed, pt.Delayed, pt.Batches,
-			pt.MeanBatch(), 100*pt.CacheHitRate(), pt.UnresolvedSvc)
+			pt.Label, pt.Svc.OK, pt.Shed, pt.Delayed, pt.Batches,
+			pt.MeanBatch(), 100*pt.CacheHitRate(), pt.Svc.Unresolved)
 	}
 }
 
@@ -184,13 +184,4 @@ func BarTable(b *stats.ByKey, scaleMax float64) string {
 		fmt.Fprintf(&sb, "%-8d %8.3f %s\n", k, m, bar(m, maxMean))
 	}
 	return sb.String()
-}
-
-// Indent prefixes every line of s.
-func Indent(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = prefix + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
 }

@@ -31,13 +31,6 @@ func TestBarTable(t *testing.T) {
 	}
 }
 
-func TestIndent(t *testing.T) {
-	got := Indent("a\nb\n", "  ")
-	if got != "  a\n  b\n" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestWriteReportsSmoke(t *testing.T) {
 	var sb strings.Builder
 	cr := &CodingResult{
@@ -88,23 +81,6 @@ func TestCSVExports(t *testing.T) {
 	b.Add(1, 0.5)
 	b.Add(2, 0.75)
 	var sb strings.Builder
-	if err := WriteByKeyCSV(&sb, b, "hop", "pdr"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "hop,n,mean_pdr,min,max") || !strings.Contains(out, "1,1,0.5") {
-		t.Fatalf("bad csv:\n%s", out)
-	}
-	sb.Reset()
-	var sc stats.Scatter
-	sc.Add(1, 2)
-	if err := WriteScatterCSV(&sb, &sc, "x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "1,2") {
-		t.Fatalf("bad scatter csv: %q", sb.String())
-	}
-	sb.Reset()
 	res := &ControlResult{
 		Proto: "Tele", Scenario: "t", Sent: 2,
 		PDRByHop:     b,

@@ -256,12 +256,12 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 		ATHX:         &stats.Scatter{},
 	}
 
-	// Snapshot baselines after warmup. Radio on-time reads the registry's
-	// per-node gauges (Fig 9 consumes the metrics plane).
+	// Snapshot baselines after warmup. Fig 9's radio on-time is read from
+	// the medium's radios, which outlive a rebooted node's stack.
 	phaseStart := net.Eng.Now()
 	onBase := make([]float64, net.Dep.Len())
 	for i := range net.Stacks {
-		onBase[i], _ = net.Metrics.Gauge(telemetry.LayerRadio, radio.NodeID(i), "on-time-s")
+		onBase[i] = net.Medium.Radio(radio.NodeID(i)).OnTime().Seconds()
 	}
 	txBase := net.controlTx()
 
@@ -363,7 +363,7 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 	phaseDur := (net.Eng.Now() - phaseStart).Seconds()
 	var dutySum float64
 	for i := range net.Stacks {
-		on, _ := net.Metrics.Gauge(telemetry.LayerRadio, radio.NodeID(i), "on-time-s")
+		on := net.Medium.Radio(radio.NodeID(i)).OnTime().Seconds()
 		dutySum += (on - onBase[i]) / phaseDur
 	}
 	res.AvgDutyCycle = dutySum / float64(len(net.Stacks))

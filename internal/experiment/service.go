@@ -99,26 +99,48 @@ func (o ServiceOpts) serviceConfig() cmdsvc.Config {
 	}
 }
 
+// ServiceSide is one sub-run of a load point: the transparent baseline
+// or the full service.
+type ServiceSide struct {
+	// Offered and Goodput are resolved and completed operations per second
+	// (the two sides' offered loads differ only through shed timing).
+	Offered float64
+	Goodput float64
+
+	OK         int
+	Failed     int
+	Unresolved int
+
+	// Latency holds the end-to-end sink latencies (seconds) of successful
+	// operations.
+	Latency *stats.Series
+}
+
+// add sums o's counters and rates into s and pools both latency series
+// into a fresh one. It never appends to a series in place, so a side that
+// shares its series with the other side (a transparent study reuses the
+// baseline sub-run as the service sub-run) is never pooled twice.
+func (s *ServiceSide) add(o ServiceSide) {
+	s.Offered += o.Offered
+	s.Goodput += o.Goodput
+	s.OK += o.OK
+	s.Failed += o.Failed
+	s.Unresolved += o.Unresolved
+	lat := &stats.Series{}
+	lat.Merge(s.Latency)
+	lat.Merge(o.Latency)
+	s.Latency = lat
+}
+
 // ServicePoint is one offered-load point: paired baseline and service
 // sub-runs at the same rate.
 type ServicePoint struct {
 	// Label names the swept rate ("rate=2.00").
 	Label string
-	// Offered is the realized offered load of the service sub-run;
-	// OfferedBase the baseline's (they differ only through shed timing).
-	Offered     float64
-	OfferedBase float64
-	// GoodputBase and GoodputSvc are completed operations per second.
-	GoodputBase float64
-	GoodputSvc  float64
+	Ops   int
 
-	Ops            int
-	OKBase         int
-	OKSvc          int
-	FailedBase     int
-	FailedSvc      int
-	UnresolvedBase int
-	UnresolvedSvc  int
+	Base ServiceSide
+	Svc  ServiceSide
 
 	// Shed and Delayed count admission-gate decisions in the service
 	// sub-run (per-tenant detail lives in the telemetry trace).
@@ -131,20 +153,15 @@ type ServicePoint struct {
 	BatchedCmds int
 	CacheHits   int
 	CacheMisses int
-
-	// LatencyBase and LatencySvc are end-to-end sink latencies (seconds)
-	// of successful operations.
-	LatencyBase *stats.Series
-	LatencySvc  *stats.Series
 }
 
 // Speedup returns the goodput ratio service / baseline (0 when the
 // baseline completed nothing).
 func (p *ServicePoint) Speedup() float64 {
-	if p.GoodputBase == 0 {
+	if p.Base.Goodput == 0 {
 		return 0
 	}
-	return p.GoodputSvc / p.GoodputBase
+	return p.Svc.Goodput / p.Base.Goodput
 }
 
 // MeanBatch returns the mean members per flushed carrier.
@@ -179,11 +196,10 @@ type ServiceResult struct {
 
 // subRunMetrics is what one sub-run hands back to the point assembler.
 type subRunMetrics struct {
-	*loadRun
-	failed  int
+	side    ServiceSide
+	events  []telemetry.Event
 	shed    int
 	delayed int
-	latency *stats.Series
 	batch   cmdsvc.BatcherStats
 	cache   cmdsvc.CacheStats
 }
@@ -197,6 +213,7 @@ func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg
 	var svc *cmdsvc.Service
 	run, err := opts.runPoint(scn, proto, pi, 0, ticketBase, func(net *Net, cfg sink.Config) commandPlane {
 		svc = cmdsvc.New(net.Eng, net.SinkCtrl(), cfg, svcCfg)
+		svc.SetTelemetry(nil, net.Bus, net.Sink)
 		svc.AttachFaults(net.FaultInjector())
 		return svc
 	})
@@ -204,19 +221,25 @@ func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg
 		return nil, err
 	}
 	m := &subRunMetrics{
-		loadRun: run,
-		latency: &stats.Series{},
-		batch:   svc.BatcherStats(),
-		cache:   svc.CacheStats(),
+		side: ServiceSide{
+			Offered:    run.offered,
+			Goodput:    run.goodput,
+			OK:         run.ok,
+			Unresolved: run.unresolved,
+			Latency:    &stats.Series{},
+		},
+		events: run.events,
+		batch:  svc.BatcherStats(),
+		cache:  svc.CacheStats(),
 	}
 	for _, o := range run.outcomes {
 		switch {
 		case o.OK:
-			m.latency.Add(o.Total().Seconds())
+			m.side.Latency.Add(o.Total().Seconds())
 		case errors.Is(o.Err, cmdsvc.ErrShed):
 			m.shed++
 		default:
-			m.failed++
+			m.side.Failed++
 		}
 	}
 	for _, tn := range svc.Tenants() {
@@ -259,37 +282,19 @@ func RunServiceStudy(scn Scenario, proto Proto, opts ServiceOpts) (*ServiceResul
 			if err != nil {
 				return nil, err
 			}
-		} else {
-			// The point carries two latency series; give the reused
-			// sub-run its own copy so a later merge cannot double-pool.
-			svc = &subRunMetrics{}
-			*svc = *base
-			svc.latency = &stats.Series{}
-			svc.latency.Merge(base.latency)
 		}
-		pt := &ServicePoint{
-			Label:          fmt.Sprintf("rate=%.2f", rate),
-			Ops:            opts.Ops,
-			Offered:        svc.offered,
-			OfferedBase:    base.offered,
-			GoodputBase:    base.goodput,
-			GoodputSvc:     svc.goodput,
-			OKBase:         base.ok,
-			OKSvc:          svc.ok,
-			FailedBase:     base.failed,
-			FailedSvc:      svc.failed,
-			UnresolvedBase: base.unresolved,
-			UnresolvedSvc:  svc.unresolved,
-			Shed:           svc.shed,
-			Delayed:        svc.delayed,
-			Batches:        int(svc.batch.Batches),
-			BatchedCmds:    int(svc.batch.BatchedCmds),
-			CacheHits:      int(svc.cache.Hits),
-			CacheMisses:    int(svc.cache.Misses),
-			LatencyBase:    base.latency,
-			LatencySvc:     svc.latency,
-		}
-		res.Points = append(res.Points, pt)
+		res.Points = append(res.Points, &ServicePoint{
+			Label:       fmt.Sprintf("rate=%.2f", rate),
+			Ops:         opts.Ops,
+			Base:        base.side,
+			Svc:         svc.side,
+			Shed:        svc.shed,
+			Delayed:     svc.delayed,
+			Batches:     int(svc.batch.Batches),
+			BatchedCmds: int(svc.batch.BatchedCmds),
+			CacheHits:   int(svc.cache.Hits),
+			CacheMisses: int(svc.cache.Misses),
+		})
 		res.EventsBase = append(res.EventsBase, base.events...)
 		res.EventsSvc = append(res.EventsSvc, svc.events...)
 	}
@@ -302,7 +307,6 @@ func MergeServiceResults(results []*ServiceResult) *ServiceResult {
 	var merged *ServiceResult
 	eventsBase := mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsBase })
 	eventsSvc := mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsSvc })
-	n := float64(len(results))
 	for _, res := range results {
 		if merged == nil {
 			merged = res
@@ -310,36 +314,25 @@ func MergeServiceResults(results []*ServiceResult) *ServiceResult {
 		}
 		for i, pt := range res.Points {
 			m := merged.Points[i]
-			m.Offered += pt.Offered
-			m.OfferedBase += pt.OfferedBase
-			m.GoodputBase += pt.GoodputBase
-			m.GoodputSvc += pt.GoodputSvc
+			m.Base.add(pt.Base)
+			m.Svc.add(pt.Svc)
 			m.Ops += pt.Ops
-			m.OKBase += pt.OKBase
-			m.OKSvc += pt.OKSvc
-			m.FailedBase += pt.FailedBase
-			m.FailedSvc += pt.FailedSvc
-			m.UnresolvedBase += pt.UnresolvedBase
-			m.UnresolvedSvc += pt.UnresolvedSvc
 			m.Shed += pt.Shed
 			m.Delayed += pt.Delayed
 			m.Batches += pt.Batches
 			m.BatchedCmds += pt.BatchedCmds
 			m.CacheHits += pt.CacheHits
 			m.CacheMisses += pt.CacheMisses
-			m.LatencyBase.Merge(pt.LatencyBase)
-			m.LatencySvc.Merge(pt.LatencySvc)
 		}
 	}
 	if merged == nil {
 		return nil
 	}
-	if len(results) > 1 {
-		for _, m := range merged.Points {
-			m.Offered /= n
-			m.OfferedBase /= n
-			m.GoodputBase /= n
-			m.GoodputSvc /= n
+	n := float64(len(results))
+	for _, m := range merged.Points {
+		for _, side := range []*ServiceSide{&m.Base, &m.Svc} {
+			side.Offered /= n
+			side.Goodput /= n
 		}
 	}
 	merged.EventsBase = eventsBase

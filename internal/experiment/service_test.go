@@ -50,15 +50,15 @@ func TestServiceStudySmall(t *testing.T) {
 		t.Fatalf("%d load points, want 1", len(res.Points))
 	}
 	pt := res.Points[0]
-	if pt.OKBase == 0 || pt.OKSvc == 0 {
+	if pt.Base.OK == 0 || pt.Svc.OK == 0 {
 		t.Fatalf("no completions: %+v", pt)
 	}
-	if pt.GoodputBase <= 0 || pt.GoodputSvc <= 0 {
-		t.Fatalf("rates: base=%v svc=%v", pt.GoodputBase, pt.GoodputSvc)
+	if pt.Base.Goodput <= 0 || pt.Svc.Goodput <= 0 {
+		t.Fatalf("rates: base=%v svc=%v", pt.Base.Goodput, pt.Svc.Goodput)
 	}
-	if pt.LatencyBase.Count() != pt.OKBase || pt.LatencySvc.Count() != pt.OKSvc {
+	if pt.Base.Latency.Count() != pt.Base.OK || pt.Svc.Latency.Count() != pt.Svc.OK {
 		t.Fatalf("latency samples: base %d/%d svc %d/%d",
-			pt.LatencyBase.Count(), pt.OKBase, pt.LatencySvc.Count(), pt.OKSvc)
+			pt.Base.Latency.Count(), pt.Base.OK, pt.Svc.Latency.Count(), pt.Svc.OK)
 	}
 	if pt.CacheHits+pt.CacheMisses == 0 {
 		t.Fatal("route cache saw no lookups")
@@ -118,9 +118,9 @@ func TestServiceTransparentMatchesThroughput(t *testing.T) {
 	}
 
 	sp, tp := sRes.Points[0], tRes.Points[0]
-	if sp.OKSvc != tp.OK || sp.FailedSvc != tp.Failed || sp.UnresolvedSvc != tp.Unresolved {
+	if sp.Svc.OK != tp.OK || sp.Svc.Failed != tp.Failed || sp.Svc.Unresolved != tp.Unresolved {
 		t.Fatalf("transparent outcomes diverge: svc ok=%d failed=%d unresolved=%d, throughput ok=%d failed=%d unresolved=%d",
-			sp.OKSvc, sp.FailedSvc, sp.UnresolvedSvc, tp.OK, tp.Failed, tp.Unresolved)
+			sp.Svc.OK, sp.Svc.Failed, sp.Svc.Unresolved, tp.OK, tp.Failed, tp.Unresolved)
 	}
 	if sp.Batches != 0 || sp.Shed != 0 || sp.Delayed != 0 ||
 		sp.CacheHits+sp.CacheMisses != 0 {
@@ -205,34 +205,34 @@ func goldenServiceResult() *ServiceResult {
 	}
 	p1 := &ServicePoint{
 		Label: "rate=0.50", Ops: 120,
-		Offered: 0.41, OfferedBase: 0.44,
-		GoodputBase: 0.137, GoodputSvc: 0.167,
-		OKBase: 82, OKSvc: 94, FailedBase: 38, FailedSvc: 26,
+		Base: ServiceSide{Offered: 0.44, Goodput: 0.137, OK: 82, Failed: 38,
+			Latency: &stats.Series{}},
+		Svc: ServiceSide{Offered: 0.41, Goodput: 0.167, OK: 94, Failed: 26,
+			Latency: &stats.Series{}},
 		Batches: 23, BatchedCmds: 50,
 		CacheHits: 22, CacheMisses: 75,
-		LatencyBase: &stats.Series{}, LatencySvc: &stats.Series{},
 	}
 	for _, v := range []float64{88.1, 142.7, 179.3, 205.5, 390.2} {
-		p1.LatencyBase.Add(v)
+		p1.Base.Latency.Add(v)
 	}
 	for _, v := range []float64{31.8, 60.4, 82.3, 110.9, 247.6} {
-		p1.LatencySvc.Add(v)
+		p1.Svc.Latency.Add(v)
 	}
 	p2 := &ServicePoint{
 		Label: "rate=2.00", Ops: 120,
-		Offered: 1.21, OfferedBase: 1.34,
-		GoodputBase: 0.159, GoodputSvc: 0.205,
-		OKBase: 96, OKSvc: 104, FailedBase: 24, FailedSvc: 9,
-		UnresolvedSvc: 1, Shed: 4, Delayed: 2,
+		Base: ServiceSide{Offered: 1.34, Goodput: 0.159, OK: 96, Failed: 24,
+			Latency: &stats.Series{}},
+		Svc: ServiceSide{Offered: 1.21, Goodput: 0.205, OK: 104, Failed: 9,
+			Unresolved: 1, Latency: &stats.Series{}},
+		Shed: 4, Delayed: 2,
 		Batches: 31, BatchedCmds: 88,
 		CacheHits: 19, CacheMisses: 93,
-		LatencyBase: &stats.Series{}, LatencySvc: &stats.Series{},
 	}
 	for _, v := range []float64{120.4, 201.8, 248.4, 300.0, 511.7} {
-		p2.LatencyBase.Add(v)
+		p2.Base.Latency.Add(v)
 	}
 	for _, v := range []float64{58.2, 101.3, 140.2, 188.8, 352.1} {
-		p2.LatencySvc.Add(v)
+		p2.Svc.Latency.Add(v)
 	}
 	res.Points = []*ServicePoint{p1, p2}
 	return res

@@ -241,6 +241,7 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 		var sched *sink.Scheduler
 		run, err := opts.runPoint(scn, proto, pi, conc, uint32(pi)<<20, func(net *Net, cfg sink.Config) commandPlane {
 			sched = sink.New(net.Eng, net.SinkCtrl(), cfg)
+			sched.SetTelemetry(net.Bus, net.Sink)
 			return sched
 		})
 		if err != nil {
@@ -279,10 +280,10 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 }
 
 // commandPlane is the sink-side admission front a load point drives: the
-// plain scheduler, or the command service wrapping one.
+// plain scheduler, or the command service wrapping one. Each admit
+// callback attaches the bus to the plane it builds.
 type commandPlane interface {
 	workload.Submitter
-	SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID)
 	SetCoder(fn func(radio.NodeID) (core.PathCode, bool))
 }
 
@@ -340,7 +341,6 @@ func (o LoadOpts) runPoint(scn Scenario, proto Proto, pi, conc int, ticketBase u
 		cfg.Window = conc
 	}
 	plane := admit(net, cfg)
-	plane.SetTelemetry(net.Metrics, net.Bus, net.Sink)
 	if te := net.SinkTele(); te != nil {
 		plane.SetCoder(te.DstCode)
 	}

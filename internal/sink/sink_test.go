@@ -263,7 +263,7 @@ func TestTelemetryQueueSpans(t *testing.T) {
 	bus := telemetry.NewBus(eng.Now)
 	col := telemetry.NewCollector()
 	bus.Subscribe(col, telemetry.LayerSink)
-	s.SetTelemetry(telemetry.NewRegistry(), bus, 0)
+	s.SetTelemetry(bus, 0)
 
 	collect(t, eng, s, 2)
 	spans := telemetry.BuildQueueSpans(col.Events())

@@ -1,8 +1,11 @@
 // Package telemetry is the unified observability plane of the simulator:
 // a simulation-time-stamped event bus crossing the radio, MAC, and
-// control-protocol layers, a cross-layer metrics registry with typed
-// counter/gauge/histogram handles, JSONL export, and a human-readable
-// span renderer for per-operation lifecycle traces.
+// control-protocol layers, JSONL export, and a human-readable span
+// renderer for per-operation lifecycle traces.
+//
+// There is no metrics registry. Counters live in each layer and are read
+// through its own Stats() accessor; the paper's Fig 9 duty cycle reads
+// radio on-time straight from the medium's radios.
 //
 // Design constraints, in order:
 //
@@ -26,7 +29,7 @@ import (
 	"teleadjust/internal/radio"
 )
 
-// Layer identifies the emitting subsystem of an event or metric.
+// Layer identifies the emitting subsystem of an event.
 type Layer uint8
 
 // Layers, bottom up.
